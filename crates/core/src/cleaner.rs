@@ -8,6 +8,11 @@
 //! batch of uncertain items and confirms their exact scores with the
 //! oracle. Termination is guaranteed: cleaning strictly shrinks the
 //! uncertain set and a fully-certain relation has confidence 1.
+//!
+//! [`clean`] is that loop, written once. Every Phase-2 query kind plugs a
+//! [`CleaningPolicy`] into it — batch Top-K ([`run_cleaner`]), a stream
+//! emit ([`crate::stream`]) and the skyline ([`crate::skyline`]) — and the
+//! driver alone applies the stop rule and the [`QueryBudget`] gate.
 
 use crate::budget::{QueryBudget, Termination};
 use crate::select::{CandidateSelector, SelectStats};
@@ -18,25 +23,19 @@ use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-/// Resolves an item's exact score bucket (by running the expensive oracle).
+/// Resolves items' exact labels by running the expensive oracle: a score
+/// bucket for Top-K (`L = u32`), a bucket vector for skylines.
 ///
 /// Frame-level queries clean one frame per item; window queries sample a
 /// fraction of the window's frames (§3.4). Implementations track their own
 /// oracle-invocation counts for cost accounting.
-pub trait CleaningOracle {
-    /// Exact buckets for `items`, in order.
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32>;
-
-    /// Fallible cleaning: the default wraps the infallible path and never
-    /// fails. Adapters over a fallible [`everest_models::Oracle`] override
-    /// it so oracle failures surface as [`Termination::OracleDown`]
-    /// instead of panics.
-    fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
-        Ok(self.clean_batch(items))
-    }
+pub trait CleaningOracle<L = u32> {
+    /// Exact labels for `items`, in order. A failed batch confirms
+    /// nothing; the driver ends the run as [`Termination::OracleDown`].
+    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<L>, OracleError>;
 
     /// Simulated seconds this oracle has consumed so far (scoring cost
-    /// plus fault/backoff overhead). The cleaner's deadline check reads
+    /// plus fault/backoff overhead). The driver's deadline check reads
     /// this between batches. Default: not accounted (deadlines never
     /// fire).
     fn sim_seconds_spent(&self) -> f64 {
@@ -48,9 +47,109 @@ pub trait CleaningOracle {
 pub struct FnCleaningOracle<F: FnMut(ItemId) -> u32>(pub F);
 
 impl<F: FnMut(ItemId) -> u32> CleaningOracle for FnCleaningOracle<F> {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-        items.iter().map(|&i| (self.0)(i)).collect()
+    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
+        Ok(items.iter().map(|&i| (self.0)(i)).collect())
     }
+}
+
+/// The answer state one Phase-2 run cleans. The policy scores the current
+/// certain answer and picks what to confirm next; [`clean`] owns the loop,
+/// the stop rule and the budget gate.
+pub trait CleaningPolicy<L = u32> {
+    /// `p̂` of the current certain answer, or `None` while no
+    /// certain-result answer exists yet (the bootstrap).
+    fn confidence(&self) -> Option<f64>;
+
+    /// The next batch to confirm: between 1 and `max` uncertain items.
+    /// Only called while the answer is below the threshold.
+    fn select(&mut self, max: usize) -> Vec<ItemId>;
+
+    /// Retires the uncertainty of `batch` with the oracle's `labels`.
+    fn confirm(&mut self, batch: &[ItemId], labels: Vec<L>);
+
+    /// Oracle calls charged against the query budget's call cap before
+    /// this run (a stream's earlier emits). Default: none.
+    fn charged(&self) -> usize {
+        0
+    }
+}
+
+/// The Phase-2 driver: select → confirm → re-score until the Eq.-1 stop
+/// rule holds or the gate stops the run. Returns why it stopped, the
+/// select-confirm iterations run, and the items cleaned.
+///
+/// Before every batch it checks, in order: the stop rule `p̂ ≥ thres` (an
+/// answer that holds is `Converged` whatever else happened), cancellation,
+/// the simulated-seconds deadline, then the call cap — the tighter of
+/// `cap` and the budget's, less [`CleaningPolicy::charged`], which also
+/// clamps the batch. A failed oracle batch ends the run as `OracleDown`.
+pub fn clean<L, P: CleaningPolicy<L>>(
+    policy: &mut P,
+    oracle: &mut dyn CleaningOracle<L>,
+    thres: f64,
+    budget: &QueryBudget,
+    cap: Option<usize>,
+) -> (Termination, usize, usize) {
+    let charged = policy.charged();
+    let mut iterations = 0usize;
+    let mut cleaned = 0usize;
+    let termination = loop {
+        if policy.confidence().is_some_and(|p| p >= thres) {
+            break Termination::Converged;
+        }
+        if budget.is_cancelled() {
+            break Termination::Cancelled;
+        }
+        if budget
+            .deadline_sim_seconds
+            .is_some_and(|d| oracle.sim_seconds_spent() >= d)
+        {
+            break Termination::Deadline;
+        }
+        let calls = budget.max_oracle_calls.map(|m| m.saturating_sub(charged));
+        let left = cap
+            .into_iter()
+            .chain(calls)
+            .map(|m| m.saturating_sub(cleaned))
+            .min();
+        if left == Some(0) {
+            break Termination::BudgetExhausted;
+        }
+        let batch = policy.select(left.unwrap_or(usize::MAX));
+        let Ok(labels) = oracle.clean_batch(&batch) else {
+            break Termination::OracleDown;
+        };
+        assert_eq!(labels.len(), batch.len(), "oracle must answer the batch");
+        cleaned += batch.len();
+        iterations += 1;
+        policy.confirm(&batch, labels);
+    };
+    (termination, iterations, cleaned)
+}
+
+/// Certain items ordered by (bucket desc, id asc): the candidate answers
+/// of Top-K and of the stream.
+pub(crate) type CertainSet = BTreeSet<(Reverse<u32>, ItemId)>;
+
+/// `(S_k, S_p)`: the buckets of the K-th and (K−1)-th certain items (`S_p`
+/// is the grid top when K = 1), or `None` while fewer than K are certain.
+pub(crate) fn thresholds(certain: &CertainSet, k: usize, top: usize) -> Option<(usize, usize)> {
+    let (mut s_k, mut s_p) = (top, top);
+    for &(Reverse(b), _) in certain.iter().take(k) {
+        (s_p, s_k) = (s_k, b as usize);
+    }
+    (certain.len() >= k).then_some((s_k, s_p))
+}
+
+/// Eq.-2 confidence of the certain Top-K with thresholds `t` (1 once
+/// nothing is uncertain), or `None` mid-bootstrap.
+pub(crate) fn certain_confidence(h: &JointCdf, t: Option<(usize, usize)>) -> Option<f64> {
+    let (s_k, _) = t?;
+    Some(if h.members() == 0 {
+        1.0
+    } else {
+        topk_prob(h, s_k)
+    })
 }
 
 /// Phase-2 configuration.
@@ -113,7 +212,65 @@ pub struct CleanOutcome {
     pub select_stats: SelectStats,
 }
 
-/// Runs Phase 2 to completion.
+/// The batch Top-K policy: a highest-mean bootstrap batch up to K certain
+/// items, then `Select-candidate` batches of `b`.
+struct TopK<'a> {
+    rel: &'a mut UncertainRelation,
+    h: JointCdf,
+    selector: CandidateSelector,
+    certain: CertainSet,
+    k: usize,
+    batch_size: usize,
+    select_time: Duration,
+}
+
+impl TopK<'_> {
+    fn thresholds(&self) -> Option<(usize, usize)> {
+        thresholds(&self.certain, self.k, self.rel.max_bucket())
+    }
+}
+
+impl CleaningPolicy for TopK<'_> {
+    fn confidence(&self) -> Option<f64> {
+        certain_confidence(&self.h, self.thresholds())
+    }
+
+    fn select(&mut self, max: usize) -> Vec<ItemId> {
+        let Some((s_k, s_p)) = self.thresholds() else {
+            // Bootstrap: the certain-result condition needs ≥ K certain
+            // items; confirm the highest-mean uncertain ones.
+            let mut by_mean: Vec<ItemId> = self.rel.uncertain_ids();
+            by_mean.sort_by(|&a, &b| {
+                self.rel
+                    .mean_bucket(b)
+                    .partial_cmp(&self.rel.mean_bucket(a))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            let need = (self.k - self.certain.len()).min(by_mean.len()).min(max);
+            assert!(need > 0, "cannot reach K certain items");
+            by_mean.truncate(need);
+            return by_mean;
+        };
+        // lint:allow(det-wallclock): feeds the reported select_time stat
+        // only; answer selection never branches on wall time.
+        let started = Instant::now();
+        let n = self.batch_size.min(self.rel.num_uncertain()).min(max);
+        let batch = self.selector.select_batch(self.rel, &self.h, s_k, s_p, n);
+        self.select_time += started.elapsed();
+        batch
+    }
+
+    fn confirm(&mut self, batch: &[ItemId], labels: Vec<u32>) {
+        for (&id, b) in batch.iter().zip(labels) {
+            let old = self.rel.clean(id, b);
+            self.h.remove(&old);
+            self.certain.insert((Reverse(b), id));
+        }
+    }
+}
+
+/// Runs Phase 2 to completion (or to a degraded exit; see [`clean`]).
 ///
 /// Panics if the relation has fewer than `k` items.
 pub fn run_cleaner(
@@ -134,139 +291,43 @@ pub fn run_cleaner(
         cfg.k
     );
 
-    let mut h = JointCdf::build(rel);
-    let mut selector = CandidateSelector::new(rel, cfg.resort_period);
-    // Certain items ordered by (bucket desc, id asc).
-    let mut certain: BTreeSet<(Reverse<u32>, ItemId)> = (0..rel.len())
-        .filter_map(|id| rel.certain_bucket(id).map(|b| (Reverse(b), id)))
-        .collect();
-
-    let mut iterations = 0usize;
-    let mut cleaned = 0usize;
-    let mut select_time = Duration::ZERO;
-    let max_bucket = rel.max_bucket();
-
-    let term = loop {
-        // Degradation checks run between batches, cheapest first:
-        // cancellation, then the simulated-seconds deadline, then the
-        // oracle-call budget (inside the branches below).
-        if cfg.budget.is_cancelled() {
-            break Termination::Cancelled;
-        }
-        if let Some(deadline) = cfg.budget.deadline_sim_seconds {
-            if oracle.sim_seconds_spent() >= deadline {
-                break Termination::Deadline;
-            }
-        }
-        // Remaining cleaning budget: the tighter of `max_cleanings` and
-        // the query budget's oracle-call cap (None = unlimited).
-        let budget: Option<usize> = [cfg.max_cleanings, cfg.budget.max_oracle_calls]
-            .into_iter()
-            .flatten()
-            .map(|m| m.saturating_sub(cleaned))
-            .min();
-
-        // Bootstrap: the certain-result condition needs ≥ K certain items.
-        if certain.len() < cfg.k {
-            if budget == Some(0) {
-                // Out of budget before the answer even exists: return the
-                // certain items we have (fewer than K), non-converged.
-                break Termination::BudgetExhausted;
-            }
-            let mut by_mean: Vec<ItemId> = rel.uncertain_ids();
-            by_mean.sort_by(|&a, &b| {
-                rel.mean_bucket(b)
-                    .partial_cmp(&rel.mean_bucket(a))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            let need = (cfg.k - certain.len())
-                .min(by_mean.len())
-                .min(budget.unwrap_or(usize::MAX));
-            assert!(need > 0, "cannot reach K certain items");
-            let batch: Vec<ItemId> = by_mean.into_iter().take(need).collect();
-            if clean_items(oracle, &batch, rel, &mut h, &mut certain).is_err() {
-                break Termination::OracleDown;
-            }
-            cleaned += batch.len();
-            iterations += 1;
-            continue;
-        }
-
-        // Threshold frame k_i and penultimate frame p_i from the certain set.
-        let top: Vec<(Reverse<u32>, ItemId)> = certain.iter().take(cfg.k).copied().collect();
-        let s_k = top[cfg.k - 1].0 .0 as usize;
-        let s_p = if cfg.k >= 2 {
-            top[cfg.k - 2].0 .0 as usize
-        } else {
-            max_bucket
-        };
-
-        let confidence = topk_prob(&h, s_k);
-        if confidence >= cfg.thres || h.members() == 0 {
-            break Termination::Converged;
-        }
-        if budget == Some(0) {
-            break Termination::BudgetExhausted;
-        }
-
-        // Select and clean the next batch (clamped to the budget).
-        // lint:allow(det-wallclock): feeds the reported select_time stat
-        // only; answer selection never branches on wall time.
-        let started = Instant::now();
-        let batch_size = cfg
-            .batch_size
-            .min(rel.num_uncertain())
-            .min(budget.unwrap_or(usize::MAX));
-        let batch = selector.select_batch(rel, &h, s_k, s_p, batch_size);
-        select_time += started.elapsed();
-        debug_assert!(!batch.is_empty());
-        if clean_items(oracle, &batch, rel, &mut h, &mut certain).is_err() {
-            break Termination::OracleDown;
-        }
-        cleaned += batch.len();
-        iterations += 1;
+    let mut policy = TopK {
+        h: JointCdf::build(rel),
+        selector: CandidateSelector::new(rel, cfg.resort_period),
+        certain: (0..rel.len())
+            .filter_map(|id| rel.certain_bucket(id).map(|b| (Reverse(b), id)))
+            .collect(),
+        rel,
+        k: cfg.k,
+        batch_size: cfg.batch_size,
+        select_time: Duration::ZERO,
     };
+    let (termination, iterations, cleaned) = clean(
+        &mut policy,
+        oracle,
+        cfg.thres,
+        &cfg.budget,
+        cfg.max_cleanings,
+    );
 
-    // Assemble the (possibly degraded) anytime answer from the current
-    // posterior: the certain Top-K with its honest achieved confidence.
-    let top: Vec<(Reverse<u32>, ItemId)> = certain.iter().take(cfg.k).copied().collect();
-    let confidence = if top.len() < cfg.k {
-        0.0 // aborted mid-bootstrap: no certain-result answer exists yet
-    } else if h.members() == 0 {
-        1.0
-    } else {
-        topk_prob(&h, top[cfg.k - 1].0 .0 as usize)
-    };
+    // The (possibly degraded) anytime answer from the current posterior:
+    // the certain Top-K with its honest achieved confidence — 0 when the
+    // run stopped mid-bootstrap, before a certain-result answer existed.
     CleanOutcome {
-        topk: top.into_iter().map(|(_, id)| id).collect(),
-        confidence,
+        topk: policy
+            .certain
+            .iter()
+            .take(cfg.k)
+            .map(|&(_, id)| id)
+            .collect(),
+        confidence: policy.confidence().unwrap_or(0.0),
         iterations,
         cleaned,
-        converged: term == Termination::Converged,
-        termination: term,
-        select_time,
-        select_stats: selector.stats,
+        converged: termination == Termination::Converged,
+        termination,
+        select_time: policy.select_time,
+        select_stats: policy.selector.stats,
     }
-}
-
-/// Confirms `items` with the oracle and retires their uncertainty. A
-/// failed batch leaves the relation untouched (the oracle scored
-/// nothing), so the caller can return a consistent degraded answer.
-fn clean_items(
-    oracle: &mut dyn CleaningOracle,
-    items: &[ItemId],
-    rel: &mut UncertainRelation,
-    h: &mut JointCdf,
-    certain: &mut BTreeSet<(Reverse<u32>, ItemId)>,
-) -> Result<(), OracleError> {
-    let buckets = oracle.try_clean_batch(items)?;
-    for (&id, &b) in items.iter().zip(buckets.iter()) {
-        let old = rel.clean(id, b);
-        h.remove(&old);
-        certain.insert((Reverse(b), id));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -539,9 +600,9 @@ mod tests {
     }
 
     impl CleaningOracle for CostedOracle<'_> {
-        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
+        fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
             self.spent += items.len() as f64 * 0.1;
-            items.iter().map(|&i| self.truth[i]).collect()
+            Ok(items.iter().map(|&i| self.truth[i]).collect())
         }
 
         fn sim_seconds_spent(&self) -> f64 {
@@ -577,6 +638,68 @@ mod tests {
         }
     }
 
+    #[test]
+    fn converged_answer_wins_over_a_fired_cancel_token() {
+        // The stop rule is checked before cancellation: an answer that
+        // already holds is reported as converged, not cancelled.
+        let mut rel = UncertainRelation::new(1.0, 5);
+        for b in [5u32, 3, 4, 1, 0] {
+            rel.push_certain(b);
+        }
+        let mut oracle = FnCleaningOracle(|_| panic!("oracle must not be called"));
+        let token = crate::budget::CancelToken::new();
+        token.cancel();
+        let cfg = CleanerConfig {
+            k: 2,
+            thres: 0.99,
+            budget: QueryBudget {
+                cancel: Some(token),
+                ..QueryBudget::unlimited()
+            },
+            ..Default::default()
+        };
+        let out = run_cleaner(&mut rel, &mut oracle, &cfg);
+        assert_eq!(out.termination, Termination::Converged);
+        assert!(out.converged);
+        assert_eq!(out.confidence, 1.0);
+        assert_eq!(out.cleaned, 0);
+        assert_eq!(out.topk, vec![0, 2]);
+    }
+
+    #[test]
+    fn batch_that_converges_past_the_deadline_reports_converged() {
+        // One certain item and four uncertain ones; a single batch of 8
+        // cleans every uncertain item (p̂ = 1) and spends 0.4 simulated
+        // seconds, past the 0.1 s deadline. The stop rule wins.
+        let mut rel = UncertainRelation::new(1.0, 4);
+        rel.push_certain(2);
+        for _ in 0..4 {
+            rel.push_uncertain(DiscreteDist::from_masses(&[0.2, 0.2, 0.2, 0.2, 0.2]));
+        }
+        let truth = [2u32, 0, 1, 3, 4];
+        let mut oracle = CostedOracle {
+            truth: &truth,
+            spent: 0.0,
+        };
+        let cfg = CleanerConfig {
+            k: 1,
+            thres: 0.9,
+            budget: QueryBudget {
+                deadline_sim_seconds: Some(0.1),
+                ..QueryBudget::unlimited()
+            },
+            ..Default::default()
+        };
+        let out = run_cleaner(&mut rel, &mut oracle, &cfg);
+        assert!(oracle.spent >= 0.1, "the batch crossed the deadline");
+        assert_eq!(out.termination, Termination::Converged);
+        assert!(out.converged);
+        assert_eq!(out.iterations, 1);
+        assert_eq!(out.cleaned, 4);
+        assert_eq!(out.confidence, 1.0);
+        assert_eq!(out.topk, vec![4]);
+    }
+
     /// An oracle that dies after `live` successful batches.
     struct DyingOracle<'a> {
         truth: &'a [u32],
@@ -584,16 +707,12 @@ mod tests {
     }
 
     impl CleaningOracle for DyingOracle<'_> {
-        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-            items.iter().map(|&i| self.truth[i]).collect()
-        }
-
-        fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
+        fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
             if self.live == 0 {
                 return Err(OracleError::Transient("oracle died"));
             }
             self.live -= 1;
-            Ok(self.clean_batch(items))
+            Ok(items.iter().map(|&i| self.truth[i]).collect())
         }
     }
 
@@ -660,11 +779,7 @@ mod tests {
     }
 
     impl CleaningOracle for SeededFlakyCleaner<'_> {
-        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-            items.iter().map(|&i| self.truth[i]).collect()
-        }
-
-        fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
+        fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
             let idx = self.calls;
             self.calls += 1;
             let mut z = self
@@ -676,7 +791,7 @@ mod tests {
                 return Err(OracleError::Transient("injected"));
             }
             self.spent += items.len() as f64 * 0.05;
-            Ok(self.clean_batch(items))
+            Ok(items.iter().map(|&i| self.truth[i]).collect())
         }
 
         fn sim_seconds_spent(&self) -> f64 {
@@ -731,6 +846,106 @@ mod tests {
                 "termination {:?}: reported {} vs recomputed {}",
                 out.termination, out.confidence, recomputed
             );
+            proptest::prop_assert_eq!(
+                out.converged,
+                out.termination == Termination::Converged
+            );
+        }
+    }
+
+    /// A skyline oracle that reveals the truth and fires `token` once it
+    /// has answered `cancel_after` batches (a client leaving mid-query).
+    struct CancellingSkyOracle {
+        truth: Vec<Vec<u32>>,
+        token: crate::budget::CancelToken,
+        cancel_after: usize,
+        batches: usize,
+    }
+
+    impl CleaningOracle<Vec<u32>> for CancellingSkyOracle {
+        fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<Vec<u32>>, OracleError> {
+            self.batches += 1;
+            if self.batches >= self.cancel_after {
+                self.token.cancel();
+            }
+            Ok(items.iter().map(|&i| self.truth[i].clone()).collect())
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The degradation contract for skylines: under a random call cap
+        /// and a random cancel point (0 = cancelled before the first
+        /// batch), every answer row is certain and the reported confidence
+        /// equals `skyline_state` recomputed from the returned relation.
+        #[test]
+        fn degraded_skylines_honor_the_posterior(
+            cap in 0usize..40,
+            cancel_after in 0usize..12,
+            batch_size in 1usize..5,
+            data_seed in 0u64..1_000,
+        ) {
+            use crate::skyline::{run_skyline_cleaner, skyline_state, SkylineConfig, VectorRelation};
+            let max_b = 8usize;
+            let mut rng = StdRng::seed_from_u64(data_seed);
+            let mut rel = VectorRelation::new(vec![max_b, max_b]);
+            let mut truth = Vec::new();
+            for i in 0..40 {
+                let v: Vec<u32> = (0..2).map(|_| rng.gen_range(0..=max_b as u32)).collect();
+                if i % 10 == 0 {
+                    rel.push_certain(&v);
+                } else {
+                    let dists = v
+                        .iter()
+                        .map(|&t| {
+                            let mut masses = vec![0.0; max_b + 1];
+                            for db in -2i64..=2 {
+                                let b = (t as i64 + db).clamp(0, max_b as i64) as usize;
+                                masses[b] += rng.gen_range(0.5..1.5) / (1 + db.abs()) as f64;
+                            }
+                            DiscreteDist::from_masses(&masses)
+                        })
+                        .collect();
+                    rel.push_uncertain(dists);
+                }
+                truth.push(v);
+            }
+            let token = crate::budget::CancelToken::new();
+            if cancel_after == 0 {
+                token.cancel();
+            }
+            let mut oracle = CancellingSkyOracle {
+                truth,
+                token: token.clone(),
+                cancel_after,
+                batches: 0,
+            };
+            let cfg = SkylineConfig {
+                thres: 0.99,
+                batch_size,
+                budget: QueryBudget {
+                    max_oracle_calls: Some(cap),
+                    cancel: Some(token),
+                    ..QueryBudget::unlimited()
+                },
+            };
+            let out = run_skyline_cleaner(&mut rel, &mut oracle, &cfg);
+            for &id in &out.skyline {
+                proptest::prop_assert!(rel.is_certain(id));
+            }
+            let state = skyline_state(&rel);
+            proptest::prop_assert!(
+                (out.confidence - state.confidence).abs() < 1e-9,
+                "termination {:?}: reported {} vs recomputed {}",
+                out.termination, out.confidence, state.confidence
+            );
+            let mut got = out.skyline.clone();
+            got.sort_unstable();
+            let mut expect = state.skyline;
+            expect.sort_unstable();
+            proptest::prop_assert_eq!(got, expect);
+            proptest::prop_assert!(out.cleaned <= cap);
             proptest::prop_assert_eq!(
                 out.converged,
                 out.termination == Termination::Converged

@@ -13,7 +13,7 @@ use crate::cleaner::{run_cleaner, CleanerConfig, CleaningOracle};
 use crate::phase1::{run_phase1, Phase1Config, Phase1Output};
 use crate::sim::{component, SimClock};
 use crate::window::{build_window_relation, tumbling_windows, WindowCleaningOracle, WindowInfo};
-use crate::xtuple::ItemId;
+use crate::xtuple::{ItemId, UncertainRelation};
 use everest_models::Oracle;
 use everest_video::store::DecodeCostModel;
 use everest_video::VideoStore;
@@ -117,13 +117,6 @@ struct FrameCleaningOracle<'a> {
 }
 
 impl FrameCleaningOracle<'_> {
-    fn buckets(&self, scores: &[f64]) -> Vec<u32> {
-        scores
-            .iter()
-            .map(|&s| ((s / self.step).round().max(0.0) as usize).min(self.max_bucket) as u32)
-            .collect()
-    }
-
     /// Fault/backoff overhead charged by the wrapped oracle during this
     /// query, in simulated seconds.
     fn overhead(&self) -> f64 {
@@ -132,27 +125,52 @@ impl FrameCleaningOracle<'_> {
 }
 
 impl CleaningOracle for FrameCleaningOracle<'_> {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-        let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
-        let scores = self.oracle.score_batch(&frames);
-        self.frames_scored += frames.len();
-        self.trace.extend_from_slice(&frames);
-        self.buckets(&scores)
-    }
-
-    fn try_clean_batch(
-        &mut self,
-        items: &[ItemId],
-    ) -> Result<Vec<u32>, everest_models::OracleError> {
+    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, everest_models::OracleError> {
         let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
         let scores = self.oracle.try_score_batch(&frames)?;
         self.frames_scored += frames.len();
         self.trace.extend_from_slice(&frames);
-        Ok(self.buckets(&scores))
+        Ok(scores
+            .iter()
+            .map(|&s| ((s / self.step).round().max(0.0) as usize).min(self.max_bucket) as u32)
+            .collect())
     }
 
     fn sim_seconds_spent(&self) -> f64 {
         self.frames_scored as f64 * self.oracle.cost_per_frame() + self.overhead()
+    }
+}
+
+/// What the shared query body needs from a Phase-2 oracle adapter
+/// besides cleaning: its oracle spend and the simulated cost of it.
+trait Confirming: CleaningOracle {
+    /// Frames sent to the deep oracle so far.
+    fn frames_scored(&self) -> usize;
+
+    /// Simulated seconds of confirmation work (inference, fault overhead,
+    /// decoding), charged to [`component::CONFIRM`].
+    fn confirm_seconds(&self, oracle: &dyn Oracle, decode: &DecodeCostModel) -> f64;
+}
+
+impl Confirming for FrameCleaningOracle<'_> {
+    fn frames_scored(&self) -> usize {
+        self.frames_scored
+    }
+
+    fn confirm_seconds(&self, oracle: &dyn Oracle, decode: &DecodeCostModel) -> f64 {
+        self.frames_scored as f64 * oracle.cost_per_frame()
+            + self.overhead()
+            + decode.trace_cost(&self.trace)
+    }
+}
+
+impl Confirming for WindowCleaningOracle<'_> {
+    fn frames_scored(&self) -> usize {
+        self.frames_scored
+    }
+
+    fn confirm_seconds(&self, oracle: &dyn Oracle, decode: &DecodeCostModel) -> f64 {
+        self.frames_scored as f64 * (oracle.cost_per_frame() + decode.seq_cost * 4.0)
     }
 }
 
@@ -177,62 +195,7 @@ impl PreparedVideo {
         thres: f64,
         cleaner: &CleanerConfig,
     ) -> QueryReport {
-        // lint:allow(det-wallclock): feeds the reported wall_time stat
-        // only; query results never branch on wall time.
-        let started = Instant::now();
-        let mut relation = self.phase1.relation.clone();
-        let retained = self.phase1.segments.retained();
-        let mut cleaning = FrameCleaningOracle {
-            oracle,
-            retained,
-            step: relation.step(),
-            max_bucket: relation.max_bucket(),
-            frames_scored: 0,
-            trace: Vec::new(),
-            overhead0: oracle.sim_overhead_seconds(),
-        };
-        let cfg = CleanerConfig {
-            k,
-            thres,
-            ..cleaner.clone()
-        };
-        let outcome = run_cleaner(&mut relation, &mut cleaning, &cfg);
-
-        let mut clock = self.phase1.clock.clone();
-        let decode = DecodeCostModel::default();
-        clock.charge(
-            component::CONFIRM,
-            cleaning.frames_scored as f64 * oracle.cost_per_frame()
-                + cleaning.overhead()
-                + decode.trace_cost(&cleaning.trace),
-        );
-        clock.charge(component::SELECT, outcome.select_time.as_secs_f64());
-
-        let items = outcome
-            .topk
-            .iter()
-            .map(|&id| {
-                let frame = retained[id];
-                let bucket = relation.certain_bucket(id).expect("answer is certain");
-                ResultItem {
-                    frame,
-                    range: (frame, frame + 1),
-                    score: relation.bucket_to_score(bucket),
-                }
-            })
-            .collect();
-        QueryReport {
-            items,
-            confidence: outcome.confidence,
-            converged: outcome.converged,
-            termination: outcome.termination,
-            clock,
-            iterations: outcome.iterations,
-            cleaned: outcome.cleaned,
-            total_items: relation.len(),
-            oracle_frames: cleaning.frames_scored,
-            phase2_wall: started.elapsed(),
-        }
+        self.query(oracle, k, thres, None, cleaner)
     }
 
     /// Runs a Top-K window query (§3.4): tumbling windows of `window_len`
@@ -247,7 +210,7 @@ impl PreparedVideo {
         cleaner: &CleanerConfig,
     ) -> QueryReport {
         let windows = tumbling_windows(self.n_frames, window_len);
-        self.query_topk_over_windows(oracle, k, thres, windows, sample_frac, cleaner)
+        self.query(oracle, k, thres, Some((windows, sample_frac)), cleaner)
     }
 
     /// Runs a Top-K query over *sliding* windows of `window_len` frames
@@ -265,65 +228,88 @@ impl PreparedVideo {
         cleaner: &CleanerConfig,
     ) -> QueryReport {
         let windows = crate::window::sliding_windows(self.n_frames, window_len, slide);
-        self.query_topk_over_windows(oracle, k, thres, windows, sample_frac, cleaner)
+        self.query(oracle, k, thres, Some((windows, sample_frac)), cleaner)
     }
 
-    /// Shared window-query body over an explicit window list.
-    fn query_topk_over_windows(
+    /// The one query body. Ranks retained frames, or with `windows` the
+    /// given windows confirmed by sampling a fraction of their frames;
+    /// runs Phase 2 and charges its cost to the Phase-1 clock.
+    fn query(
         &self,
         oracle: &dyn Oracle,
         k: usize,
         thres: f64,
-        windows: Vec<crate::window::WindowInfo>,
-        sample_frac: f64,
+        windows: Option<(Vec<WindowInfo>, f64)>,
         cleaner: &CleanerConfig,
     ) -> QueryReport {
         // lint:allow(det-wallclock): feeds the reported wall_time stat
-        // only; window-query results never branch on wall time.
+        // only; query results never branch on wall time.
         let started = Instant::now();
-        // Window scores are means of frame scores: reuse the frame grid but
-        // refine the step for sub-integer means.
-        let step = self.phase1.relation.step() / 4.0;
-        let max_bucket = (self.phase1.relation.max_bucket() * 4 + 4).min(4 * 400);
-        let mut relation = build_window_relation(
-            &self.phase1.mixtures,
-            &self.phase1.segments,
-            &windows,
-            step,
-            max_bucket,
-        );
-        let mut cleaning = WindowCleaningOracle::new(
-            oracle,
-            &windows,
-            sample_frac,
-            step,
-            max_bucket,
-            self.phase1_seed() ^ WINDOW_SAMPLE_SALT,
-        );
+        let retained = self.phase1.segments.retained();
+        let (mut relation, mut cleaning): (UncertainRelation, Box<dyn Confirming + '_>) =
+            match &windows {
+                None => {
+                    let relation = self.phase1.relation.clone();
+                    let cleaning = FrameCleaningOracle {
+                        oracle,
+                        retained,
+                        step: relation.step(),
+                        max_bucket: relation.max_bucket(),
+                        frames_scored: 0,
+                        trace: Vec::new(),
+                        overhead0: oracle.sim_overhead_seconds(),
+                    };
+                    (relation, Box::new(cleaning))
+                }
+                Some((windows, sample_frac)) => {
+                    // Window scores are means of frame scores: reuse the
+                    // frame grid but refine the step for sub-integer means.
+                    let step = self.phase1.relation.step() / 4.0;
+                    let max_bucket = (self.phase1.relation.max_bucket() * 4 + 4).min(4 * 400);
+                    let relation = build_window_relation(
+                        &self.phase1.mixtures,
+                        &self.phase1.segments,
+                        windows,
+                        step,
+                        max_bucket,
+                    );
+                    let cleaning = WindowCleaningOracle::new(
+                        oracle,
+                        windows,
+                        *sample_frac,
+                        step,
+                        max_bucket,
+                        self.phase1_seed() ^ WINDOW_SAMPLE_SALT,
+                    );
+                    (relation, Box::new(cleaning))
+                }
+            };
         let cfg = CleanerConfig {
             k,
             thres,
             ..cleaner.clone()
         };
-        let outcome = run_cleaner(&mut relation, &mut cleaning, &cfg);
+        let outcome = run_cleaner(&mut relation, &mut *cleaning, &cfg);
 
         let mut clock = self.phase1.clock.clone();
-        let decode = DecodeCostModel::default();
         clock.charge(
             component::CONFIRM,
-            cleaning.frames_scored as f64 * (oracle.cost_per_frame() + decode.seq_cost * 4.0),
+            cleaning.confirm_seconds(oracle, &DecodeCostModel::default()),
         );
         clock.charge(component::SELECT, outcome.select_time.as_secs_f64());
 
         let items = outcome
             .topk
             .iter()
-            .map(|&wid| {
-                let w = windows[wid];
-                let bucket = relation.certain_bucket(wid).expect("answer is certain");
+            .map(|&id| {
+                let range = match &windows {
+                    None => (retained[id], retained[id] + 1),
+                    Some((windows, _)) => (windows[id].start, windows[id].end),
+                };
+                let bucket = relation.certain_bucket(id).expect("answer is certain");
                 ResultItem {
-                    frame: w.start,
-                    range: (w.start, w.end),
+                    frame: range.0,
+                    range,
                     score: relation.bucket_to_score(bucket),
                 }
             })
@@ -337,7 +323,7 @@ impl PreparedVideo {
             iterations: outcome.iterations,
             cleaned: outcome.cleaned,
             total_items: relation.len(),
-            oracle_frames: cleaning.frames_scored,
+            oracle_frames: cleaning.frames_scored(),
             phase2_wall: started.elapsed(),
         }
     }

@@ -37,6 +37,8 @@
 //! product of probabilities, the smallest factor is both the largest drag
 //! on `p̂` and the item most likely to change the skyline.
 
+use crate::budget::{QueryBudget, Termination};
+use crate::cleaner::{clean, CleaningOracle, CleaningPolicy};
 use crate::dist::DiscreteDist;
 use crate::xtuple::ItemId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -476,9 +478,7 @@ pub struct MaintainerStats {
 /// bit-for-bit (the staircase walk consumes integer `ybound`s, which are
 /// unchanged outside the affected range). For d = 3 any staircase change
 /// recomputes all factors; insertions of dominated points and removals of
-/// non-members never touch a factor in either dimensionality. This retires
-/// the ROADMAP item about [`run_skyline_cleaner`] recomputing every factor
-/// per iteration.
+/// non-members never touch a factor in either dimensionality.
 #[derive(Debug, Clone)]
 pub struct SkylineMaintainer {
     max_bucket: Vec<usize>,
@@ -708,13 +708,6 @@ impl SkylineMaintainer {
     }
 }
 
-/// The oracle that confirms exact score vectors (one deep model per
-/// dimension, each charged per frame by the caller).
-pub trait SkylineOracle {
-    /// Exact bucket vectors for a batch of items.
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>>;
-}
-
 /// Configuration of the skyline cleaning loop.
 #[derive(Debug, Clone)]
 pub struct SkylineConfig {
@@ -722,8 +715,9 @@ pub struct SkylineConfig {
     pub thres: f64,
     /// Oracle batch size (§3.5's batch inference).
     pub batch_size: usize,
-    /// Diagnostics-only cap on cleanings.
-    pub max_cleanings: Option<usize>,
+    /// Query-level limits (oracle-call cap, simulated-seconds deadline,
+    /// cancellation), gated exactly as for Top-K. Default: unlimited.
+    pub budget: QueryBudget,
 }
 
 impl Default for SkylineConfig {
@@ -731,7 +725,7 @@ impl Default for SkylineConfig {
         SkylineConfig {
             thres: 0.9,
             batch_size: 8,
-            max_cleanings: None,
+            budget: QueryBudget::unlimited(),
         }
     }
 }
@@ -744,12 +738,49 @@ pub struct SkylineOutcome {
     /// `Pr(R̂ = Sky)` at termination.
     pub confidence: f64,
     pub converged: bool,
+    /// Why the run stopped; anything but `Converged` is a degraded
+    /// answer (the certain skyline with its honest confidence).
+    pub termination: Termination,
     pub iterations: usize,
     pub cleaned: usize,
 }
 
+/// The skyline cleaning policy: confirm the uncertain items with the
+/// smallest domination factors, kept by a [`SkylineMaintainer`].
+struct SkylinePolicy<'a> {
+    rel: &'a mut VectorRelation,
+    maintainer: SkylineMaintainer,
+    state: SkylineState,
+    batch_size: usize,
+}
+
+impl CleaningPolicy<Vec<u32>> for SkylinePolicy<'_> {
+    fn confidence(&self) -> Option<f64> {
+        Some(self.state.confidence)
+    }
+
+    fn select(&mut self, max: usize) -> Vec<ItemId> {
+        let by_factor = &mut self.state.factors;
+        by_factor.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        by_factor
+            .iter()
+            .take(self.batch_size.min(max))
+            .map(|&(id, _)| id)
+            .collect()
+    }
+
+    fn confirm(&mut self, batch: &[ItemId], labels: Vec<Vec<u32>>) {
+        for (&id, v) in batch.iter().zip(&labels) {
+            self.rel.clean(id, v);
+            self.maintainer.clean(id, v);
+        }
+        self.state = self.maintainer.state();
+    }
+}
+
 /// Runs the oracle-in-the-loop skyline query until
-/// `Pr(R̂ = Sky) ≥ thres` (§3.3 adapted to domination).
+/// `Pr(R̂ = Sky) ≥ thres` (§3.3 adapted to domination) or the budget
+/// stops it, through the Phase-2 driver [`clean`].
 ///
 /// Each iteration confirms the `batch_size` uncertain items with the
 /// smallest domination factors. Like Phase 2 for Top-K, the loop always
@@ -762,57 +793,27 @@ pub struct SkylineOutcome {
 /// property-tested equal, factor for factor.
 pub fn run_skyline_cleaner(
     rel: &mut VectorRelation,
-    oracle: &mut dyn SkylineOracle,
+    oracle: &mut dyn CleaningOracle<Vec<u32>>,
     cfg: &SkylineConfig,
 ) -> SkylineOutcome {
     assert!((0.0..1.0).contains(&cfg.thres), "thres must be in [0, 1)");
     assert!(cfg.batch_size >= 1);
-    let mut maintainer = SkylineMaintainer::from_relation(rel);
-    let mut iterations = 0;
-    let mut cleaned = 0;
-    loop {
-        let state = maintainer.state();
-        if state.confidence >= cfg.thres {
-            return SkylineOutcome {
-                skyline: state.skyline,
-                confidence: state.confidence,
-                converged: true,
-                iterations,
-                cleaned,
-            };
-        }
-        if let Some(cap) = cfg.max_cleanings {
-            if cleaned >= cap {
-                return SkylineOutcome {
-                    skyline: state.skyline,
-                    confidence: state.confidence,
-                    converged: false,
-                    iterations,
-                    cleaned,
-                };
-            }
-        }
-        // Clean the items with the smallest domination factors.
-        let mut by_factor = state.factors;
-        by_factor.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        let batch: Vec<ItemId> = by_factor
-            .iter()
-            .take(cfg.batch_size)
-            .map(|&(id, _)| id)
-            .collect();
-        debug_assert!(!batch.is_empty(), "confidence < 1 requires uncertain items");
-        let vectors = oracle.clean_batch(&batch);
-        assert_eq!(
-            vectors.len(),
-            batch.len(),
-            "oracle must answer the whole batch"
-        );
-        for (id, v) in batch.iter().zip(&vectors) {
-            rel.clean(*id, v);
-            maintainer.clean(*id, v);
-            cleaned += 1;
-        }
-        iterations += 1;
+    let maintainer = SkylineMaintainer::from_relation(rel);
+    let mut policy = SkylinePolicy {
+        state: maintainer.state(),
+        maintainer,
+        rel,
+        batch_size: cfg.batch_size,
+    };
+    let (termination, iterations, cleaned) =
+        clean(&mut policy, oracle, cfg.thres, &cfg.budget, None);
+    SkylineOutcome {
+        skyline: policy.state.skyline,
+        confidence: policy.state.confidence,
+        converged: termination == Termination::Converged,
+        termination,
+        iterations,
+        cleaned,
     }
 }
 
@@ -1149,11 +1150,14 @@ mod tests {
         frames: usize,
     }
 
-    impl SkylineOracle for TableOracle {
-        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>> {
+    impl CleaningOracle<Vec<u32>> for TableOracle {
+        fn clean_batch(
+            &mut self,
+            items: &[ItemId],
+        ) -> Result<Vec<Vec<u32>>, everest_models::OracleError> {
             self.calls += 1;
             self.frames += items.len();
-            items.iter().map(|&i| self.truth[i].clone()).collect()
+            Ok(items.iter().map(|&i| self.truth[i].clone()).collect())
         }
     }
 
@@ -1202,7 +1206,7 @@ mod tests {
             &SkylineConfig {
                 thres: 0.95,
                 batch_size: 4,
-                max_cleanings: None,
+                budget: QueryBudget::unlimited(),
             },
         );
         assert!(out.converged);
@@ -1260,10 +1264,14 @@ mod tests {
             &SkylineConfig {
                 thres: 0.99,
                 batch_size: 1,
-                max_cleanings: Some(2),
+                budget: QueryBudget {
+                    max_oracle_calls: Some(2),
+                    ..QueryBudget::unlimited()
+                },
             },
         );
         assert!(!out.converged);
+        assert_eq!(out.termination, Termination::BudgetExhausted);
         assert_eq!(out.cleaned, 2);
         assert!(out.confidence < 0.99);
     }
@@ -1276,8 +1284,11 @@ mod tests {
         rel.push_certain(&[2, 2]);
         rel.push_certain(&[1, 1]); // dominated by (2,2)
         struct Never;
-        impl SkylineOracle for Never {
-            fn clean_batch(&mut self, _: &[ItemId]) -> Vec<Vec<u32>> {
+        impl CleaningOracle<Vec<u32>> for Never {
+            fn clean_batch(
+                &mut self,
+                _: &[ItemId],
+            ) -> Result<Vec<Vec<u32>>, everest_models::OracleError> {
                 panic!("nothing to clean")
             }
         }

@@ -24,25 +24,27 @@
 //!
 //! ## Boundary-focused cleaning
 //!
-//! Instead of spending the oracle budget up front, each emit cleans one
-//! frame at a time at the currently-unstable rank boundary: the uncertain
-//! frame with the largest ψ (Eq. 7) at the *current* thresholds
-//! `(S_k, S_p)`, recomputed after every confirmation (Fagin-style
-//! threshold processing). The policy is deliberately stateless and
-//! deterministic — argmax ψ, ties by ascending frame id — so a batch
-//! replay reproduces the exact oracle-call sequence, which is what makes
-//! byte-identical streaming≡batch comparison possible. (The batch engine's
-//! [`crate::select::CandidateSelector`] keeps its lazy stale-ψ schedule;
-//! that laziness is an *intra-query* optimisation with no stable meaning
-//! across emits.)
+//! Instead of spending the oracle budget up front, each emit runs the
+//! Phase-2 driver [`crate::cleaner::clean`] (stop rule and budget gate)
+//! with a policy that cleans one frame at a time at the currently-unstable
+//! rank boundary: the uncertain frame with the largest ψ (Eq. 7) at the
+//! *current* thresholds `(S_k, S_p)`, recomputed after every confirmation
+//! (Fagin-style threshold processing). The policy is deliberately
+//! stateless and deterministic — argmax ψ, ties by ascending frame id — so
+//! a batch replay reproduces the exact oracle-call sequence, which is what
+//! makes byte-identical streaming≡batch comparison possible. (The batch
+//! engine's [`crate::select::CandidateSelector`] keeps its lazy stale-ψ
+//! schedule; that laziness is an *intra-query* optimisation with no stable
+//! meaning across emits.)
 
 use crate::budget::{QueryBudget, Termination};
-use crate::cleaner::CleaningOracle;
+use crate::cleaner::{
+    certain_confidence, clean, thresholds, CertainSet, CleaningOracle, CleaningPolicy,
+};
 use crate::dist::DiscreteDist;
 use crate::select::psi;
 use crate::topkprob::{topk_prob, JointCdf};
 use crate::xtuple::{ItemId, UncertainRelation};
-use everest_models::OracleError;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -177,7 +179,7 @@ pub struct StreamTopK {
     /// Active frames still uncertain.
     uncertain_active: BTreeSet<ItemId>,
     /// Active certain frames ordered by (bucket desc, frame asc).
-    certain: BTreeSet<(Reverse<u32>, ItemId)>,
+    certain: CertainSet,
     /// Joint CDF over the active uncertain frames.
     h: JointCdf,
     /// First active frame (window low edge).
@@ -291,23 +293,6 @@ impl StreamTopK {
         self.h = JointCdf::build(&rel);
     }
 
-    /// Confirms one frame with the oracle and retires its uncertainty.
-    /// A failed confirmation leaves the frame uncertain.
-    fn clean_one(
-        &mut self,
-        frame: ItemId,
-        oracle: &mut dyn CleaningOracle,
-    ) -> Result<(), OracleError> {
-        let bucket = oracle.try_clean_batch(&[frame])?[0];
-        let was_uncertain = self.uncertain_active.remove(&frame);
-        debug_assert!(was_uncertain, "frame {frame} cleaned twice");
-        self.h.remove(&self.dists[frame]);
-        self.cleaned.insert(frame, bucket);
-        self.certain.insert((Reverse(bucket), frame));
-        self.cleaned_total += 1;
-        Ok(())
-    }
-
     /// The uncertain frame maximising `key`, ties by ascending frame id.
     fn argmax_uncertain(&self, mut key: impl FnMut(&DiscreteDist) -> f64) -> Option<ItemId> {
         let mut best: Option<(f64, ItemId)> = None;
@@ -320,105 +305,31 @@ impl StreamTopK {
         best.map(|(_, frame)| frame)
     }
 
-    /// Runs the per-emit answer maintenance: bootstrap to K certain frames,
-    /// then boundary-focused argmax-ψ cleaning until `thres` or budget.
+    /// Answer size at this emit: K, or every active frame early on.
+    fn k_eff(&self) -> usize {
+        self.cfg.k.min(self.dists.len() - self.lo)
+    }
+
+    fn thresholds(&self) -> Option<(usize, usize)> {
+        thresholds(&self.certain, self.k_eff(), self.cfg.max_bucket)
+    }
+
+    /// Runs the per-emit answer maintenance through the Phase-2 driver:
+    /// bootstrap to K certain frames, then boundary-focused argmax-ψ
+    /// cleaning until `thres` or a budget stops it.
     fn emit(&mut self, oracle: &mut dyn CleaningOracle) -> StreamAnswer {
         self.emits += 1;
         if self.cfg.maintenance == Maintenance::Rebuild {
             self.rebuild();
         }
-        let n = self.dists.len();
-        let k_eff = self.cfg.k.min(n - self.lo);
-        let mut budget = self.cfg.budget_per_emit;
-        let mut spent = 0usize;
-
-        let cancel = self.cfg.budget.cancel.clone();
-        let deadline = self.cfg.budget.deadline_sim_seconds;
-        let stream_cap = self.cfg.budget.max_oracle_calls;
-        // Checked before every confirmation: cancellation, the stream-wide
-        // deadline/call cap, then the per-emit budget (which this consumes).
-        // `None` means the next confirmation may proceed.
-        let gate = |cleaned_total: usize,
-                    sim_spent: f64,
-                    budget: &mut Option<usize>|
-         -> Option<Termination> {
-            if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                return Some(Termination::Cancelled);
-            }
-            if deadline.is_some_and(|d| sim_spent >= d) {
-                return Some(Termination::Deadline);
-            }
-            if stream_cap.is_some_and(|m| cleaned_total >= m) {
-                return Some(Termination::BudgetExhausted);
-            }
-            match budget {
-                Some(0) => Some(Termination::BudgetExhausted),
-                Some(b) => {
-                    *b -= 1;
-                    None
-                }
-                None => None,
-            }
-        };
-        let mut blocked: Option<Termination> = None;
-
-        // Bootstrap: the certain-result condition needs k_eff certain
-        // frames; confirm the highest-mean uncertain frames first.
-        while self.certain.len() < k_eff {
-            if let Some(t) = gate(self.cleaned_total, oracle.sim_seconds_spent(), &mut budget) {
-                blocked = Some(t);
-                break;
-            }
-            let pick = self
-                .argmax_uncertain(|d| d.mean_bucket())
-                // lint:allow(panic-unwrap): certain.len() < k_eff ≤ active count, so an
-                // active uncertain frame exists
-                .expect("fewer certain frames than active frames");
-            if self.clean_one(pick, oracle).is_err() {
-                blocked = Some(Termination::OracleDown);
-                break;
-            }
-            spent += 1;
-        }
-
-        let (confidence, termination) = loop {
-            if self.certain.len() < k_eff {
-                // budget/deadline/cancel/failure mid-bootstrap
-                break (0.0, blocked.unwrap_or(Termination::BudgetExhausted));
-            }
-            let top_last: Vec<(Reverse<u32>, ItemId)> =
-                self.certain.iter().take(k_eff).copied().collect();
-            let s_k = top_last[k_eff - 1].0 .0 as usize;
-            let s_p = if k_eff >= 2 {
-                top_last[k_eff - 2].0 .0 as usize
-            } else {
-                self.cfg.max_bucket
-            };
-            if self.h.members() == 0 {
-                break (1.0, Termination::Converged);
-            }
-            let conf = topk_prob(&self.h, s_k);
-            if conf >= self.cfg.thres {
-                break (conf, Termination::Converged);
-            }
-            if let Some(t) = gate(self.cleaned_total, oracle.sim_seconds_spent(), &mut budget) {
-                break (conf, t);
-            }
-            let pick = self
-                .argmax_uncertain(|d| psi(d, s_k, s_p))
-                // lint:allow(panic-unwrap): the h.members() == 0 branch above broke out
-                .expect("members > 0 implies an uncertain frame");
-            if self.clean_one(pick, oracle).is_err() {
-                break (conf, Termination::OracleDown);
-            }
-            spent += 1;
-        };
-        let converged = termination == Termination::Converged;
+        let budget = self.cfg.budget.clone();
+        let (thres, per_emit) = (self.cfg.thres, self.cfg.budget_per_emit);
+        let (termination, _, spent) = clean(&mut Emit(self), oracle, thres, &budget, per_emit);
 
         let topk: Vec<(ItemId, u32)> = self
             .certain
             .iter()
-            .take(k_eff)
+            .take(self.k_eff())
             .map(|&(Reverse(b), f)| (f, b))
             .collect();
         let stability = topk
@@ -426,15 +337,53 @@ impl StreamTopK {
             .map(|&(_, b)| topk_prob(&self.h, b as usize))
             .collect();
         StreamAnswer {
-            at_frame: n,
+            at_frame: self.dists.len(),
             window_start: self.lo,
             topk,
             stability,
-            confidence,
-            converged,
+            // 0 when budget/deadline/cancel/failure struck mid-bootstrap
+            confidence: Emit(self).confidence().unwrap_or(0.0),
+            converged: termination == Termination::Converged,
             termination,
             cleaned: spent,
         }
+    }
+}
+
+/// One emit's cleaning policy: one frame per batch, the highest-mean
+/// uncertain frame until K are certain, then the argmax-ψ frame at the
+/// current thresholds. The stream-wide call cap counts earlier emits.
+struct Emit<'a>(&'a mut StreamTopK);
+
+impl CleaningPolicy for Emit<'_> {
+    fn confidence(&self) -> Option<f64> {
+        certain_confidence(&self.0.h, self.0.thresholds())
+    }
+
+    fn select(&mut self, _max: usize) -> Vec<ItemId> {
+        let pick = match self.0.thresholds() {
+            None => self.0.argmax_uncertain(|d| d.mean_bucket()),
+            Some((s_k, s_p)) => self.0.argmax_uncertain(|d| psi(d, s_k, s_p)),
+        };
+        // lint:allow(panic-unwrap): the driver selects only mid-bootstrap
+        // (certain < k_eff ≤ active frames) or below thres (members > 0)
+        vec![pick.expect("an active uncertain frame exists")]
+    }
+
+    fn confirm(&mut self, batch: &[ItemId], labels: Vec<u32>) {
+        let engine = &mut *self.0;
+        for (&frame, bucket) in batch.iter().zip(labels) {
+            let was_uncertain = engine.uncertain_active.remove(&frame);
+            debug_assert!(was_uncertain, "frame {frame} cleaned twice");
+            engine.h.remove(&engine.dists[frame]);
+            engine.cleaned.insert(frame, bucket);
+            engine.certain.insert((Reverse(bucket), frame));
+            engine.cleaned_total += 1;
+        }
+    }
+
+    fn charged(&self) -> usize {
+        self.0.cleaned_total
     }
 }
 
@@ -471,6 +420,7 @@ pub fn batch_reference(
 mod tests {
     use super::*;
     use crate::cleaner::FnCleaningOracle;
+    use everest_models::OracleError;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -652,16 +602,12 @@ mod tests {
     }
 
     impl CleaningOracle for ChaosStreamOracle<'_> {
-        fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-            self.cleans += items.len();
-            items.iter().map(|&i| self.truth[i]).collect()
-        }
-
-        fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
+        fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
             if self.die_after.is_some_and(|n| self.cleans >= n) {
                 return Err(OracleError::Transient("oracle host down"));
             }
-            Ok(self.clean_batch(items))
+            self.cleans += items.len();
+            Ok(items.iter().map(|&i| self.truth[i]).collect())
         }
 
         fn sim_seconds_spent(&self) -> f64 {

@@ -217,22 +217,7 @@ impl<'a> WindowCleaningOracle<'a> {
 }
 
 impl CleaningOracle for WindowCleaningOracle<'_> {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-        items
-            .iter()
-            .map(|&wid| {
-                let frames = self.sample_frames(wid);
-                let scores = self.oracle.score_batch(&frames);
-                self.frames_scored += frames.len();
-                self.mean_bucket(&scores)
-            })
-            .collect()
-    }
-
-    fn try_clean_batch(
-        &mut self,
-        items: &[ItemId],
-    ) -> Result<Vec<u32>, everest_models::OracleError> {
+    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, everest_models::OracleError> {
         // A mid-batch failure discards the whole batch's confirmations:
         // frames scored before the failure are still charged (the work
         // happened), and the RNG has advanced — both deterministic given
@@ -334,7 +319,7 @@ mod tests {
         let oracle = ExactScoreOracle::new("gt", frame_scores.clone(), 0.01);
         let ws = tumbling_windows(30, 10);
         let mut wo = WindowCleaningOracle::new(&oracle, &ws, 1.0, 0.5, 40, 7);
-        let buckets = wo.clean_batch(&[0, 1, 2]);
+        let buckets = wo.clean_batch(&[0, 1, 2]).unwrap();
         let exact = exact_window_scores(&frame_scores, &ws);
         for (b, e) in buckets.iter().zip(exact.iter()) {
             assert_eq!(*b as f64 * 0.5, *e, "full sampling must be exact");
@@ -349,7 +334,7 @@ mod tests {
         let ws = tumbling_windows(300, 100);
         let exact = exact_window_scores(&frame_scores, &ws);
         let mut wo = WindowCleaningOracle::new(&oracle, &ws, 0.1, 0.25, 40, 3);
-        let buckets = wo.clean_batch(&[0, 1, 2]);
+        let buckets = wo.clean_batch(&[0, 1, 2]).unwrap();
         for (b, e) in buckets.iter().zip(exact.iter()) {
             let got = *b as f64 * 0.25;
             assert!(

@@ -755,9 +755,7 @@ impl Session {
     /// dimensions derive from the *same* detector pass, so confirming a
     /// frame charges one oracle invocation regardless of dimensionality.
     fn run_skyline(&mut self, plan: crate::plan::SkylinePlan) -> Result<SkylineOutput, EvqlError> {
-        use everest_core::skyline::{
-            run_skyline_cleaner, zip_relations, SkylineConfig, SkylineOracle,
-        };
+        use everest_core::skyline::{run_skyline_cleaner, zip_relations, SkylineConfig};
 
         // lint:allow(det-wallclock): feeds the reported wall_ms stat only;
         // skyline answers never branch on wall time.
@@ -800,17 +798,17 @@ impl Session {
             retained: &'a [usize],
             frames_scored: usize,
         }
-        impl SkylineOracle for MultiOracle<'_> {
-            fn clean_batch(&mut self, items: &[usize]) -> Vec<Vec<u32>> {
+        impl CleaningOracle<Vec<u32>> for MultiOracle<'_> {
+            fn clean_batch(&mut self, items: &[usize]) -> Result<Vec<Vec<u32>>, OracleError> {
                 let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
                 // One detector pass yields every dimension's score.
-                self.frames_scored += frames.len();
                 let per_dim: Vec<Vec<f64>> = self
                     .oracles
                     .iter()
-                    .map(|o| o.score_batch(&frames))
-                    .collect();
-                (0..frames.len())
+                    .map(|o| o.try_score_batch(&frames))
+                    .collect::<Result<_, _>>()?;
+                self.frames_scored += frames.len();
+                Ok((0..frames.len())
                     .map(|i| {
                         per_dim
                             .iter()
@@ -821,7 +819,7 @@ impl Session {
                             })
                             .collect()
                     })
-                    .collect()
+                    .collect())
             }
         }
         let mut oracle = MultiOracle {
@@ -844,7 +842,10 @@ impl Session {
             &SkylineConfig {
                 thres: plan.thres,
                 batch_size: plan.batch,
-                max_cleanings: None,
+                budget: QueryBudget {
+                    cancel: self.cancel.clone(),
+                    ..QueryBudget::unlimited()
+                },
             },
         );
 
@@ -893,7 +894,7 @@ impl Session {
                 n_items: rel.len(),
                 confidence: Some(outcome.confidence),
                 converged: Some(outcome.converged),
-                termination: None,
+                termination: Some(outcome.termination),
                 iterations: Some(outcome.iterations),
                 cleaned: Some(outcome.cleaned),
                 oracle_retries: None,
@@ -942,7 +943,7 @@ impl RetainedOracle {
         }
     }
 
-    /// The oracle the fallible path scores through.
+    /// The oracle confirmations score through.
     fn scoring(&self) -> &dyn Oracle {
         match &self.flaky {
             Some(f) => f,
@@ -959,14 +960,7 @@ impl RetainedOracle {
 }
 
 impl CleaningOracle for RetainedOracle {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<u32> {
-        let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
-        self.cleaned += frames.len();
-        let scores = self.oracle.score_batch(&frames);
-        self.buckets(scores)
-    }
-
-    fn try_clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
+    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
         let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
         let scores = self.scoring().try_score_batch(&frames)?;
         self.cleaned += frames.len();

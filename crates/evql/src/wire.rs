@@ -522,7 +522,9 @@ fn put_stats(out: &mut Vec<u8>, stats: &ExecStats) {
             put_f64(out, q.score_error);
         }
     }
-    // 0 = no Phase 2 ran; otherwise the Termination wire code (1–5).
+    // 0 = no Phase 2 ran (scan baselines, messages); otherwise the
+    // Termination wire code (1–5). Top-K, stream and skyline answers
+    // all carry a code.
     out.push(stats.termination.map_or(0, |t| t.code()));
 }
 

@@ -20,9 +20,11 @@
 //!     `Pr(R̂ = skyline) ≥ 0.95` — confirming a frame runs the detector
 //!     **once** and yields both dimensions.
 
+use everest::core::budget::QueryBudget;
+use everest::core::cleaner::CleaningOracle;
 use everest::core::phase1::Phase1Config;
-use everest::core::skyline::{run_skyline_cleaner, zip_relations, SkylineConfig, SkylineOracle};
-use everest::models::{counting_oracle, coverage_oracle, Oracle};
+use everest::core::skyline::{run_skyline_cleaner, zip_relations, SkylineConfig};
+use everest::models::{counting_oracle, coverage_oracle, Oracle, OracleError};
 use everest::nn::train::TrainConfig;
 use everest::nn::HyperGrid;
 use everest::video::arrival::{ArrivalConfig, Timeline};
@@ -40,15 +42,15 @@ struct DualScoreOracle<'a> {
     frames_scored: usize,
 }
 
-impl SkylineOracle for DualScoreOracle<'_> {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>> {
+impl CleaningOracle<Vec<u32>> for DualScoreOracle<'_> {
+    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<Vec<u32>>, OracleError> {
         let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
         // One detector pass yields the object list; count and coverage are
         // both derived from it, so charge the frames once.
         let counts = self.count.score_batch(&frames);
         let covers = self.coverage.score_batch(&frames);
         self.frames_scored += frames.len();
-        counts
+        Ok(counts
             .iter()
             .zip(&covers)
             .map(|(&c, &a)| {
@@ -57,7 +59,7 @@ impl SkylineOracle for DualScoreOracle<'_> {
                     ((a / self.steps.1).round().max(0.0) as usize).min(self.max_buckets.1) as u32,
                 ]
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -134,7 +136,7 @@ fn main() {
         &SkylineConfig {
             thres: 0.95,
             batch_size: 8,
-            max_cleanings: None,
+            budget: QueryBudget::unlimited(),
         },
     );
 

@@ -3,10 +3,12 @@
 //! the proxy model is garbage, scores tie everywhere, or parameters sit
 //! at the edges of their ranges.
 
-use everest::core::cleaner::{run_cleaner, CleanerConfig, FnCleaningOracle};
+use everest::core::budget::QueryBudget;
+use everest::core::cleaner::{run_cleaner, CleanerConfig, CleaningOracle, FnCleaningOracle};
 use everest::core::dist::DiscreteDist;
-use everest::core::skyline::{run_skyline_cleaner, SkylineConfig, SkylineOracle, VectorRelation};
+use everest::core::skyline::{run_skyline_cleaner, SkylineConfig, VectorRelation};
 use everest::core::xtuple::{ItemId, UncertainRelation};
+use everest::models::OracleError;
 
 const MAX_B: usize = 10;
 
@@ -226,9 +228,9 @@ struct TableSkyOracle {
     truth: Vec<Vec<u32>>,
 }
 
-impl SkylineOracle for TableSkyOracle {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Vec<Vec<u32>> {
-        items.iter().map(|&i| self.truth[i].clone()).collect()
+impl CleaningOracle<Vec<u32>> for TableSkyOracle {
+    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<Vec<u32>>, OracleError> {
+        Ok(items.iter().map(|&i| self.truth[i].clone()).collect())
     }
 }
 
@@ -263,7 +265,7 @@ fn skyline_survives_a_lying_proxy() {
         &SkylineConfig {
             thres: 0.9,
             batch_size: 4,
-            max_cleanings: None,
+            budget: QueryBudget::unlimited(),
         },
     );
     assert!(out.converged);
@@ -281,7 +283,6 @@ fn skyline_survives_a_lying_proxy() {
 
 #[test]
 fn window_oracle_clamps_out_of_grid_scores() {
-    use everest::core::cleaner::CleaningOracle;
     use everest::core::window::{tumbling_windows, WindowCleaningOracle};
     use everest::models::ExactScoreOracle;
 
@@ -290,7 +291,7 @@ fn window_oracle_clamps_out_of_grid_scores() {
     let oracle = ExactScoreOracle::new("huge", scores, 0.01);
     let ws = tumbling_windows(30, 10);
     let mut wo = WindowCleaningOracle::new(&oracle, &ws, 1.0, 1.0, 8, 1);
-    let buckets = wo.clean_batch(&[0, 1, 2]);
+    let buckets = wo.clean_batch(&[0, 1, 2]).unwrap();
     assert!(
         buckets.iter().all(|&b| b == 8),
         "clamped to max bucket: {buckets:?}"
@@ -299,7 +300,6 @@ fn window_oracle_clamps_out_of_grid_scores() {
 
 #[test]
 fn negative_scores_clamp_to_bucket_zero() {
-    use everest::core::cleaner::CleaningOracle;
     use everest::core::window::{tumbling_windows, WindowCleaningOracle};
     use everest::models::ExactScoreOracle;
 
@@ -307,7 +307,7 @@ fn negative_scores_clamp_to_bucket_zero() {
     let oracle = ExactScoreOracle::new("negative", scores, 0.01);
     let ws = tumbling_windows(20, 5);
     let mut wo = WindowCleaningOracle::new(&oracle, &ws, 1.0, 1.0, 8, 1);
-    let buckets = wo.clean_batch(&[0, 1]);
+    let buckets = wo.clean_batch(&[0, 1]).unwrap();
     assert!(
         buckets.iter().all(|&b| b == 0),
         "clamped to zero: {buckets:?}"

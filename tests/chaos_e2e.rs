@@ -255,6 +255,44 @@ fn disconnect_mid_query_cancels_cleaning_into_a_degraded_answer() {
 }
 
 #[test]
+fn disconnect_mid_skyline_cancels_cleaning_into_a_degraded_answer() {
+    let (handle, join) = Server::spawn(test_config()).unwrap();
+    let addr = handle.addr();
+
+    // The skyline counterpart of the test above: a fresh-seed skyline
+    // builds Phase 1 once per dimension, the client vanishes meanwhile,
+    // and the skyline's cleaning loop stops at its first gate.
+    {
+        let mut client = Client::connect(addr).unwrap();
+        client
+            .send(|id| everest::evql::wire::Request::Query {
+                id,
+                text: "SELECT SKYLINE FROM Archie WITH SEED 43, CONFIDENCE 0.95".into(),
+            })
+            .unwrap();
+    } // dropped here, mid-query
+
+    let metrics = handle.metrics();
+    wait_for(
+        || metrics.queries_answered.load(Ordering::Relaxed) == 1,
+        "the abandoned skyline to be answered",
+    );
+    assert_eq!(
+        metrics.degraded_answers.load(Ordering::Relaxed),
+        1,
+        "disconnect was not converted into a degraded (cancelled) skyline"
+    );
+    wait_for(
+        || handle.registry().is_empty(),
+        "the dead session to leave the registry",
+    );
+
+    handle.shutdown();
+    let report = join.join().unwrap();
+    assert!(report.clean(), "{report:?}");
+}
+
+#[test]
 fn keepalive_limits_recycle_connections_and_reap_idle_sessions() {
     let cfg = ServeConfig {
         max_queries_per_connection: Some(3),

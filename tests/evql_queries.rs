@@ -5,6 +5,7 @@
 //! floor-scaled datasets (2 000 frames), including the §4 baselines as
 //! alternative engines and the §3.4 window path.
 
+use everest::core::budget::{CancelToken, Termination};
 use everest::evql::{Output, Session};
 
 fn fast_session() -> Session {
@@ -153,6 +154,28 @@ fn explain_then_run_consistency() {
     );
     let out = rows(&mut s, q);
     assert_eq!(out.rows.len(), 4);
+}
+
+#[test]
+fn cancelled_session_skyline_stops_before_cleaning() {
+    // The session's cancel token reaches the skyline's cleaning loop: a
+    // pre-cancelled query answers from Phase 1 alone, as a degraded
+    // `cancelled` answer.
+    let mut s = fast_session();
+    let token = CancelToken::new();
+    token.cancel();
+    s.set_cancel_token(Some(token));
+    let out = match s
+        .execute("SELECT SKYLINE FROM Archie WITH CONFIDENCE 0.8, SEED 11")
+        .unwrap_or_else(|e| panic!("{}", e.message()))
+    {
+        Output::Skyline(o) => o,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(out.stats.termination, Some(Termination::Cancelled));
+    assert_eq!(out.stats.cleaned, Some(0));
+    assert_eq!(out.stats.iterations, Some(0));
+    assert_eq!(out.stats.converged, Some(false));
 }
 
 #[test]

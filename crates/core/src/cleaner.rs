@@ -17,8 +17,9 @@
 use crate::budget::{QueryBudget, Termination};
 use crate::select::{CandidateSelector, SelectStats};
 use crate::topkprob::{topk_prob, JointCdf};
-use crate::xtuple::{ItemId, UncertainRelation};
-use everest_models::OracleError;
+use crate::xtuple::{score_to_bucket, ItemId, UncertainRelation};
+use everest_models::{Oracle, OracleError};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -49,6 +50,114 @@ pub struct FnCleaningOracle<F: FnMut(ItemId) -> u32>(pub F);
 impl<F: FnMut(ItemId) -> u32> CleaningOracle for FnCleaningOracle<F> {
     fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
         Ok(items.iter().map(|&i| (self.0)(i)).collect())
+    }
+}
+
+/// The Phase-2 oracle adapter over retained frames: item `i` is the video
+/// frame `retained[i]`, confirmed by one deep-oracle call and quantized
+/// onto the relation's grid by [`score_to_bucket`].
+///
+/// It traces the frames it scores and reports
+/// [`CleaningOracle::sim_seconds_spent`] as frames × `cost_per_frame` plus
+/// the fault/backoff overhead the oracle added since the adapter was
+/// built. Frame queries and streams confirm through it, window queries
+/// sample their frames through it (`window::WindowCleaningOracle`), and a
+/// skyline zips one adapter per dimension. `O` may be owned or borrowed
+/// (`&dyn Oracle` is an oracle).
+pub struct RetainedFrameOracle<'r, O> {
+    oracle: O,
+    retained: Cow<'r, [usize]>,
+    step: f64,
+    max_bucket: usize,
+    trace: Vec<usize>,
+    /// Oracle overhead already accumulated when the adapter was built.
+    overhead0: f64,
+}
+
+impl<'r, O: Oracle> RetainedFrameOracle<'r, O> {
+    /// An adapter confirming `retained` frames through `oracle` onto the
+    /// grid of `max_bucket + 1` buckets of width `step`.
+    pub fn new(
+        oracle: O,
+        retained: impl Into<Cow<'r, [usize]>>,
+        step: f64,
+        max_bucket: usize,
+    ) -> Self {
+        RetainedFrameOracle {
+            overhead0: oracle.sim_overhead_seconds(),
+            oracle,
+            retained: retained.into(),
+            step,
+            max_bucket,
+            trace: Vec::new(),
+        }
+    }
+
+    /// The oracle confirmations score through.
+    pub fn oracle(&self) -> &O {
+        &self.oracle
+    }
+
+    /// The video frame of each item id.
+    pub fn retained(&self) -> &[usize] {
+        &self.retained
+    }
+
+    /// Video frames scored so far, in scoring order.
+    pub fn trace(&self) -> &[usize] {
+        &self.trace
+    }
+
+    /// Video frames sent to the deep oracle so far.
+    pub fn frames_scored(&self) -> usize {
+        self.trace.len()
+    }
+
+    /// Charges `frames`, just scored through [`Self::oracle`], to this
+    /// adapter's spend and trace.
+    pub(crate) fn record(&mut self, frames: &[usize]) {
+        self.trace.extend_from_slice(frames);
+    }
+
+    /// `score` quantized onto the adapter's grid.
+    pub(crate) fn bucket(&self, score: f64) -> u32 {
+        score_to_bucket(score, self.step, self.max_bucket)
+    }
+}
+
+impl<O: Oracle> CleaningOracle for RetainedFrameOracle<'_, O> {
+    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
+        let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
+        let scores = self.oracle.try_score_batch(&frames)?;
+        self.record(&frames);
+        Ok(scores.into_iter().map(|s| self.bucket(s)).collect())
+    }
+
+    fn sim_seconds_spent(&self) -> f64 {
+        self.frames_scored() as f64 * self.oracle.cost_per_frame()
+            + (self.oracle.sim_overhead_seconds() - self.overhead0)
+    }
+}
+
+/// A skyline's oracle: one adapter per dimension over the same retained
+/// frames, zipped into one bucket vector per item.
+impl<O: Oracle> CleaningOracle<Vec<u32>> for Vec<RetainedFrameOracle<'_, O>> {
+    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<Vec<u32>>, OracleError> {
+        let per_dim: Vec<Vec<u32>> = self
+            .iter_mut()
+            .map(|dim| dim.clean_batch(items))
+            .collect::<Result<_, _>>()?;
+        Ok((0..items.len())
+            .map(|i| per_dim.iter().map(|buckets| buckets[i]).collect())
+            .collect())
+    }
+
+    /// One detector pass yields every dimension's score, so a frame is
+    /// charged once, at the costliest dimension's rate.
+    fn sim_seconds_spent(&self) -> f64 {
+        self.iter()
+            .map(|dim| dim.sim_seconds_spent())
+            .fold(0.0, f64::max)
     }
 }
 
@@ -366,6 +475,23 @@ mod tests {
             }
         }
         (rel, truth.to_vec())
+    }
+
+    #[test]
+    fn zipped_adapters_confirm_per_dimension_and_charge_each_frame_once() {
+        use everest_models::ExactScoreOracle;
+        let count = ExactScoreOracle::new("count", vec![0.0, 1.0, 2.0, 3.0, 4.0], 0.1);
+        let area = ExactScoreOracle::new("area", vec![10.0, 7.0, 5.0, 3.0, 2.0], 0.3);
+        let retained = [0, 2, 4];
+        let mut dims = vec![
+            RetainedFrameOracle::new(&count, &retained[..], 1.0, 3),
+            RetainedFrameOracle::new(&area, &retained[..], 2.0, 4),
+        ];
+        // item i is frame retained[i]; both grids clamp at their top
+        let labels = dims.clean_batch(&[2, 0]).unwrap();
+        assert_eq!(labels, vec![vec![3, 1], vec![0, 4]]);
+        assert_eq!(dims[0].trace(), &[4, 0]);
+        assert!((dims.sim_seconds_spent() - 2.0 * 0.3).abs() < 1e-12);
     }
 
     #[test]

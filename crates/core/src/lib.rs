@@ -20,7 +20,8 @@
 //!   cancellation, and the [`budget::Termination`] status of degraded
 //!   anytime answers;
 //! * [`cleaner`] — the Phase-2 driver: certain-result condition, batched
-//!   oracle cleaning, convergence guarantee;
+//!   oracle cleaning, convergence guarantee, and the retained-frame oracle
+//!   adapter every query kind confirms through;
 //! * [`window`] — Top-K over tumbling windows (Eq. 9 + sampled
 //!   confirmation, §3.4);
 //! * [`stream`] — continuous Top-K over live streams: sliding/tumbling
@@ -32,8 +33,7 @@
 //!   ([`sim`], Table 8 style breakdowns);
 //! * [`baselines`] — scan-and-test, HOG/TinyYOLO scans, CMDN-only, and the
 //!   calibrated Select-and-TopK baseline (§4);
-//! * [`metrics`] — precision / rank distance / score error (§4);
-//! * [`prefetch`] — ψ-ordered frame prefetching (§3.5).
+//! * [`metrics`] — precision / rank distance / score error (§4).
 //!
 //! ## Quick start
 //!
@@ -78,7 +78,6 @@ pub mod ingest;
 pub mod metrics;
 pub mod phase1;
 pub mod pipeline;
-pub mod prefetch;
 pub mod pws;
 pub mod select;
 pub mod semantics;

@@ -14,7 +14,7 @@
 //! the sample) — a CMDN still needs a few hundred samples to train.
 
 use crate::dist::DiscreteDist;
-use crate::sim::{component, SimClock, CMDN_INFER_COST, CMDN_TRAIN_COST, DIFF_COST};
+use crate::sim::{component, scan_seconds, SimClock, CMDN_INFER_COST, CMDN_TRAIN_COST, DIFF_COST};
 use crate::xtuple::UncertainRelation;
 use everest_models::Oracle;
 use everest_nn::cmdn::CmdnConfig;
@@ -205,10 +205,7 @@ pub fn run_phase1(video: &dyn VideoStore, oracle: &dyn Oracle, cfg: &Phase1Confi
 
     // 1. Difference detection (one sequential decode pass + MSE per frame).
     let segments = DifferenceDetector::new(cfg.diff).run(video);
-    clock.charge(
-        component::POPULATE,
-        n as f64 * DIFF_COST + decode.sequential_scan_cost(n),
-    );
+    clock.charge(component::POPULATE, scan_seconds(n, DIFF_COST));
     let retained = segments.retained().to_vec();
     assert!(
         !retained.is_empty(),
@@ -355,10 +352,7 @@ pub fn populate_with_model(
     );
 
     let segments = DifferenceDetector::new(cfg.diff).run(video);
-    clock.charge(
-        component::POPULATE,
-        n as f64 * DIFF_COST + decode.sequential_scan_cost(n),
-    );
+    clock.charge(component::POPULATE, scan_seconds(n, DIFF_COST));
     let retained = segments.retained().to_vec();
     assert!(
         !retained.is_empty(),

@@ -9,15 +9,13 @@
 //! time still includes the full Phase-1 charge).
 
 use crate::budget::Termination;
-use crate::cleaner::{run_cleaner, CleanerConfig, CleaningOracle};
+use crate::cleaner::{run_cleaner, CleanerConfig, CleaningOracle, RetainedFrameOracle};
 use crate::phase1::{run_phase1, Phase1Config, Phase1Output};
 use crate::sim::{component, SimClock};
 use crate::window::{build_window_relation, tumbling_windows, WindowCleaningOracle, WindowInfo};
-use crate::xtuple::{ItemId, UncertainRelation};
 use everest_models::Oracle;
 use everest_video::store::DecodeCostModel;
 use everest_video::VideoStore;
-use std::time::Instant;
 
 /// The Everest engine entry point.
 pub struct Everest;
@@ -78,8 +76,6 @@ pub struct QueryReport {
     pub total_items: usize,
     /// Oracle frames consumed by Phase-2 confirmation.
     pub oracle_frames: usize,
-    /// Real wall time of Phase 2.
-    pub phase2_wall: std::time::Duration,
 }
 
 impl QueryReport {
@@ -100,77 +96,6 @@ impl QueryReport {
     /// Answer frame ids (or window start frames).
     pub fn frames(&self) -> Vec<usize> {
         self.items.iter().map(|i| i.frame).collect()
-    }
-}
-
-/// Phase-2 oracle adapter for frame queries: item id = retained position.
-struct FrameCleaningOracle<'a> {
-    oracle: &'a dyn Oracle,
-    retained: &'a [usize],
-    step: f64,
-    max_bucket: usize,
-    frames_scored: usize,
-    trace: Vec<usize>,
-    /// Oracle overhead (fault penalties, backoff) already accumulated
-    /// when this query started; `sim_seconds_spent` reports the delta.
-    overhead0: f64,
-}
-
-impl FrameCleaningOracle<'_> {
-    /// Fault/backoff overhead charged by the wrapped oracle during this
-    /// query, in simulated seconds.
-    fn overhead(&self) -> f64 {
-        self.oracle.sim_overhead_seconds() - self.overhead0
-    }
-}
-
-impl CleaningOracle for FrameCleaningOracle<'_> {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, everest_models::OracleError> {
-        let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
-        let scores = self.oracle.try_score_batch(&frames)?;
-        self.frames_scored += frames.len();
-        self.trace.extend_from_slice(&frames);
-        Ok(scores
-            .iter()
-            .map(|&s| ((s / self.step).round().max(0.0) as usize).min(self.max_bucket) as u32)
-            .collect())
-    }
-
-    fn sim_seconds_spent(&self) -> f64 {
-        self.frames_scored as f64 * self.oracle.cost_per_frame() + self.overhead()
-    }
-}
-
-/// What the shared query body needs from a Phase-2 oracle adapter
-/// besides cleaning: its oracle spend and the simulated cost of it.
-trait Confirming: CleaningOracle {
-    /// Frames sent to the deep oracle so far.
-    fn frames_scored(&self) -> usize;
-
-    /// Simulated seconds of confirmation work (inference, fault overhead,
-    /// decoding), charged to [`component::CONFIRM`].
-    fn confirm_seconds(&self, oracle: &dyn Oracle, decode: &DecodeCostModel) -> f64;
-}
-
-impl Confirming for FrameCleaningOracle<'_> {
-    fn frames_scored(&self) -> usize {
-        self.frames_scored
-    }
-
-    fn confirm_seconds(&self, oracle: &dyn Oracle, decode: &DecodeCostModel) -> f64 {
-        self.frames_scored as f64 * oracle.cost_per_frame()
-            + self.overhead()
-            + decode.trace_cost(&self.trace)
-    }
-}
-
-impl Confirming for WindowCleaningOracle<'_> {
-    fn frames_scored(&self) -> usize {
-        self.frames_scored
-    }
-
-    fn confirm_seconds(&self, oracle: &dyn Oracle, decode: &DecodeCostModel) -> f64 {
-        self.frames_scored as f64 * (oracle.cost_per_frame() + decode.seq_cost * 4.0)
     }
 }
 
@@ -233,7 +158,8 @@ impl PreparedVideo {
 
     /// The one query body. Ranks retained frames, or with `windows` the
     /// given windows confirmed by sampling a fraction of their frames;
-    /// runs Phase 2 and charges its cost to the Phase-1 clock.
+    /// runs Phase 2 and charges its cost to the Phase-1 clock: `CONFIRM` is
+    /// the oracle adapter's spend plus the kind's decode term.
     fn query(
         &self,
         oracle: &dyn Oracle,
@@ -242,59 +168,60 @@ impl PreparedVideo {
         windows: Option<(Vec<WindowInfo>, f64)>,
         cleaner: &CleanerConfig,
     ) -> QueryReport {
-        // lint:allow(det-wallclock): feeds the reported wall_time stat
-        // only; query results never branch on wall time.
-        let started = Instant::now();
         let retained = self.phase1.segments.retained();
-        let (mut relation, mut cleaning): (UncertainRelation, Box<dyn Confirming + '_>) =
-            match &windows {
-                None => {
-                    let relation = self.phase1.relation.clone();
-                    let cleaning = FrameCleaningOracle {
-                        oracle,
-                        retained,
-                        step: relation.step(),
-                        max_bucket: relation.max_bucket(),
-                        frames_scored: 0,
-                        trace: Vec::new(),
-                        overhead0: oracle.sim_overhead_seconds(),
-                    };
-                    (relation, Box::new(cleaning))
-                }
-                Some((windows, sample_frac)) => {
-                    // Window scores are means of frame scores: reuse the
-                    // frame grid but refine the step for sub-integer means.
-                    let step = self.phase1.relation.step() / 4.0;
-                    let max_bucket = (self.phase1.relation.max_bucket() * 4 + 4).min(4 * 400);
-                    let relation = build_window_relation(
-                        &self.phase1.mixtures,
-                        &self.phase1.segments,
-                        windows,
-                        step,
-                        max_bucket,
-                    );
-                    let cleaning = WindowCleaningOracle::new(
-                        oracle,
-                        windows,
-                        *sample_frac,
-                        step,
-                        max_bucket,
-                        self.phase1_seed() ^ WINDOW_SAMPLE_SALT,
-                    );
-                    (relation, Box::new(cleaning))
-                }
-            };
         let cfg = CleanerConfig {
             k,
             thres,
             ..cleaner.clone()
         };
-        let outcome = run_cleaner(&mut relation, &mut *cleaning, &cfg);
+        let (relation, outcome, frames) = match &windows {
+            None => {
+                let mut relation = self.phase1.relation.clone();
+                let mut frames = RetainedFrameOracle::new(
+                    oracle,
+                    retained,
+                    relation.step(),
+                    relation.max_bucket(),
+                );
+                let outcome = run_cleaner(&mut relation, &mut frames, &cfg);
+                (relation, outcome, frames)
+            }
+            Some((windows, sample_frac)) => {
+                // Window scores are means of frame scores: reuse the frame
+                // grid but refine the step for sub-integer means.
+                let step = self.phase1.relation.step() / 4.0;
+                let max_bucket = (self.phase1.relation.max_bucket() * 4 + 4).min(4 * 400);
+                let mut relation = build_window_relation(
+                    &self.phase1.mixtures,
+                    &self.phase1.segments,
+                    windows,
+                    step,
+                    max_bucket,
+                );
+                let mut sampler = WindowCleaningOracle::new(
+                    oracle,
+                    windows,
+                    *sample_frac,
+                    step,
+                    max_bucket,
+                    self.phase1_seed() ^ WINDOW_SAMPLE_SALT,
+                );
+                let outcome = run_cleaner(&mut relation, &mut sampler, &cfg);
+                (relation, outcome, sampler.into_frames())
+            }
+        };
 
+        // Frames replay their confirmation trace through the decoder; a
+        // window's sampled frames each cost four sequential decodes.
+        let decode = DecodeCostModel::default();
+        let decode_seconds = match windows {
+            None => decode.trace_cost(frames.trace()),
+            Some(_) => frames.frames_scored() as f64 * decode.seq_cost * 4.0,
+        };
         let mut clock = self.phase1.clock.clone();
         clock.charge(
             component::CONFIRM,
-            cleaning.confirm_seconds(oracle, &DecodeCostModel::default()),
+            frames.sim_seconds_spent() + decode_seconds,
         );
         clock.charge(component::SELECT, outcome.select_time.as_secs_f64());
 
@@ -323,8 +250,7 @@ impl PreparedVideo {
             iterations: outcome.iterations,
             cleaned: outcome.cleaned,
             total_items: relation.len(),
-            oracle_frames: cleaning.frames_scored(),
-            phase2_wall: started.elapsed(),
+            oracle_frames: frames.frames_scored(),
         }
     }
 
@@ -346,7 +272,9 @@ mod tests {
     use super::*;
     use crate::metrics::{evaluate_topk, GroundTruth};
     use crate::phase1::Phase1Config;
-    use everest_models::{counting_oracle, ExactScoreOracle, InstrumentedOracle};
+    use everest_models::{
+        counting_oracle, ExactScoreOracle, FlakyOracle, InstrumentedOracle, RetryingOracle,
+    };
     use everest_nn::train::TrainConfig;
     use everest_nn::HyperGrid;
     use everest_video::arrival::{ArrivalConfig, Timeline};
@@ -469,6 +397,30 @@ mod tests {
                 exact[wid]
             );
         }
+    }
+
+    #[test]
+    fn flaky_window_query_charges_fault_overhead_to_confirm() {
+        let (v, o) = tiny_setup();
+        let prepared = Everest::prepare(&v, &o, &fast_phase1());
+        let cfg = CleanerConfig::default();
+        let plain = prepared.query_topk_windows(&o, 5, 0.9, 30, 0.5, &cfg);
+        let flaky = RetryingOracle::new(FlakyOracle::new(o.clone(), 3));
+        let report = prepared.query_topk_windows(&flaky, 5, 0.9, 30, 0.5, &cfg);
+        // Retries recover every fault: the same frames are confirmed, and
+        // CONFIRM grows by exactly the fault/backoff overhead.
+        assert!(flaky.retries() > 0, "seed must inject recoverable faults");
+        assert!(report.converged);
+        assert_eq!(report.frames(), plain.frames());
+        assert_eq!(report.oracle_frames, plain.oracle_frames);
+        let extra =
+            report.clock.component(component::CONFIRM) - plain.clock.component(component::CONFIRM);
+        assert!(flaky.sim_overhead_seconds() > 0.0);
+        assert!(
+            (extra - flaky.sim_overhead_seconds()).abs() < 1e-9,
+            "CONFIRM grew by {extra}, overhead {}",
+            flaky.sim_overhead_seconds()
+        );
     }
 
     #[test]

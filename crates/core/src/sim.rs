@@ -10,6 +10,7 @@
 //! oracle and baseline scorer costs live with their models in
 //! `everest-models`; this module holds the pipeline-side constants.
 
+use everest_video::store::DecodeCostModel;
 use std::collections::BTreeMap;
 
 /// Simulated cost of CMDN inference per frame (batched GPU), seconds.
@@ -20,6 +21,13 @@ pub const CMDN_TRAIN_COST: f64 = 3.0e-4;
 
 /// Simulated difference-detector cost per frame, seconds.
 pub const DIFF_COST: f64 = 5.0e-5;
+
+/// Simulated seconds of one sequential pass over `n_frames` frames that runs
+/// a model costing `per_frame` seconds on each: the scan-and-test baseline
+/// (§1) and Phase 1's difference-detector pass.
+pub fn scan_seconds(n_frames: usize, per_frame: f64) -> f64 {
+    n_frames as f64 * per_frame + DecodeCostModel::default().sequential_scan_cost(n_frames)
+}
 
 /// Component labels used in the Table 8 breakdown.
 pub mod component {

@@ -17,7 +17,7 @@
 //! estimates — the source of the small precision fluctuations the paper
 //! reports in §4.2.3.
 
-use crate::cleaner::CleaningOracle;
+use crate::cleaner::{CleaningOracle, RetainedFrameOracle};
 use crate::xtuple::{ItemId, UncertainRelation};
 use everest_models::Oracle;
 use everest_nn::GaussianMixture;
@@ -46,13 +46,7 @@ impl WindowInfo {
 /// Splits `n_frames` into tumbling windows of `len` frames (the final
 /// window may be shorter).
 pub fn tumbling_windows(n_frames: usize, len: usize) -> Vec<WindowInfo> {
-    assert!(len >= 1, "window length must be positive");
-    (0..n_frames.div_ceil(len))
-        .map(|i| WindowInfo {
-            start: i * len,
-            end: ((i + 1) * len).min(n_frames),
-        })
-        .collect()
+    sliding_windows(n_frames, len, len)
 }
 
 /// Sliding (hopping) windows of `len` frames every `slide` frames — an
@@ -77,17 +71,7 @@ pub fn sliding_windows(n_frames: usize, len: usize, slide: usize) -> Vec<WindowI
         slide <= len,
         "slide {slide} > len {len} would leave uncovered gaps"
     );
-    if n_frames == 0 {
-        return Vec::new();
-    }
-    if n_frames <= len {
-        return vec![WindowInfo {
-            start: 0,
-            end: n_frames,
-        }];
-    }
-    let last = (n_frames - len).div_ceil(slide);
-    (0..=last)
+    (0..window_count(n_frames, len, slide))
         .map(|i| {
             let start = i * slide;
             WindowInfo {
@@ -96,6 +80,16 @@ pub fn sliding_windows(n_frames: usize, len: usize, slide: usize) -> Vec<WindowI
             }
         })
         .collect()
+}
+
+/// How many windows [`sliding_windows`] returns: none for an empty video,
+/// one for a video no longer than a window, else `⌈(n − len) / slide⌉ + 1`.
+pub fn window_count(n_frames: usize, len: usize, slide: usize) -> usize {
+    match n_frames {
+        0 => 0,
+        n if n <= len => 1,
+        n => (n - len).div_ceil(slide) + 1,
+    }
 }
 
 /// Greedily filters a ranked window answer down to pairwise-disjoint
@@ -165,17 +159,15 @@ pub fn exact_window_scores(frame_scores: &[f64], windows: &[WindowInfo]) -> Vec<
 /// The window-cleaning oracle of §3.4: confirming a window samples
 /// `ceil(sample_frac × L)` of its frames, scores them with the deep oracle,
 /// and uses the sample mean as the window's (certain) score.
+///
+/// The frames are scored, traced and charged by a
+/// [`RetainedFrameOracle`] on the window grid, so windows share the frame
+/// queries' bucket rule and oracle cost.
 pub struct WindowCleaningOracle<'a> {
-    oracle: &'a dyn Oracle,
+    frames: RetainedFrameOracle<'a, &'a dyn Oracle>,
     windows: &'a [WindowInfo],
     sample_frac: f64,
-    step: f64,
-    max_bucket: usize,
     rng: StdRng,
-    /// Total frames sent to the deep oracle (cost accounting).
-    pub frames_scored: usize,
-    /// Oracle overhead already accumulated when this query started.
-    overhead0: f64,
 }
 
 impl<'a> WindowCleaningOracle<'a> {
@@ -189,15 +181,17 @@ impl<'a> WindowCleaningOracle<'a> {
     ) -> Self {
         assert!((0.0..=1.0).contains(&sample_frac) && sample_frac > 0.0);
         WindowCleaningOracle {
-            oracle,
+            // Samples are video frames: no item id maps through `retained`.
+            frames: RetainedFrameOracle::new(oracle, &[][..], step, max_bucket),
             windows,
             sample_frac,
-            step,
-            max_bucket,
             rng: StdRng::seed_from_u64(seed),
-            frames_scored: 0,
-            overhead0: oracle.sim_overhead_seconds(),
         }
+    }
+
+    /// The adapter the sampled frames were scored and charged through.
+    pub fn into_frames(self) -> RetainedFrameOracle<'a, &'a dyn Oracle> {
+        self.frames
     }
 
     /// The sampled frames for confirming window `wid` (advances the RNG).
@@ -208,11 +202,6 @@ impl<'a> WindowCleaningOracle<'a> {
         frames.shuffle(&mut self.rng);
         frames.truncate(m);
         frames
-    }
-
-    fn mean_bucket(&self, scores: &[f64]) -> u32 {
-        let mean = scores.iter().sum::<f64>() / scores.len() as f64;
-        ((mean / self.step).round().max(0.0) as usize).min(self.max_bucket) as u32
     }
 }
 
@@ -226,16 +215,16 @@ impl CleaningOracle for WindowCleaningOracle<'_> {
             .iter()
             .map(|&wid| {
                 let frames = self.sample_frames(wid);
-                let scores = self.oracle.try_score_batch(&frames)?;
-                self.frames_scored += frames.len();
-                Ok(self.mean_bucket(&scores))
+                let scores = self.frames.oracle().try_score_batch(&frames)?;
+                self.frames.record(&frames);
+                let mean = scores.iter().sum::<f64>() / scores.len() as f64;
+                Ok(self.frames.bucket(mean))
             })
             .collect()
     }
 
     fn sim_seconds_spent(&self) -> f64 {
-        self.frames_scored as f64 * self.oracle.cost_per_frame()
-            + (self.oracle.sim_overhead_seconds() - self.overhead0)
+        self.frames.sim_seconds_spent()
     }
 }
 
@@ -324,7 +313,7 @@ mod tests {
         for (b, e) in buckets.iter().zip(exact.iter()) {
             assert_eq!(*b as f64 * 0.5, *e, "full sampling must be exact");
         }
-        assert_eq!(wo.frames_scored, 30);
+        assert_eq!(wo.into_frames().frames_scored(), 30);
     }
 
     #[test]
@@ -342,7 +331,7 @@ mod tests {
                 "sampled window mean {got} too far from exact {e}"
             );
         }
-        assert_eq!(wo.frames_scored, 30); // 10% of 3 windows × 100 frames
+        assert_eq!(wo.into_frames().frames_scored(), 30); // 10% of 3 windows × 100 frames
     }
 
     #[test]

@@ -183,7 +183,7 @@ impl UncertainRelation {
 
     /// Converts a score to the nearest bucket (clamped to the grid).
     pub fn score_to_bucket(&self, score: f64) -> u32 {
-        ((score / self.step).round().max(0.0) as usize).min(self.max_bucket) as u32
+        score_to_bucket(score, self.step, self.max_bucket)
     }
 
     /// Expected bucket of any item (exact bucket when certain).
@@ -193,6 +193,13 @@ impl UncertainRelation {
             ItemState::Certain(b) => *b as f64,
         }
     }
+}
+
+/// The nearest bucket of `score` on the grid `0 ..= max_bucket` of width
+/// `step`, clamped at both ends: the one rule every oracle confirmation is
+/// quantized by.
+pub fn score_to_bucket(score: f64, step: f64, max_bucket: usize) -> u32 {
+    ((score / step).round().max(0.0) as usize).min(max_bucket) as u32
 }
 
 #[cfg(test)]

@@ -24,11 +24,12 @@ use everest_core::baselines::{
     cheap_scan, cmdn_only, scan_and_test, select_and_topk_calibrated, topk_indices, BaselineResult,
 };
 use everest_core::budget::{CancelToken, QueryBudget, Termination};
-use everest_core::cleaner::{CleanerConfig, CleaningOracle};
+use everest_core::cleaner::{CleanerConfig, CleaningOracle, RetainedFrameOracle};
 use everest_core::dist::DiscreteDist;
 use everest_core::metrics::{evaluate_topk, GroundTruth, ResultQuality};
 use everest_core::phase1::Phase1Config;
 use everest_core::pipeline::{Everest, PreparedVideo, QueryReport};
+use everest_core::sim::scan_seconds;
 use everest_core::stream::{batch_reference, StreamAnswer, StreamConfig, StreamTopK};
 use everest_core::window::{exact_window_scores, sliding_windows, WindowInfo};
 use everest_core::xtuple::ItemId;
@@ -37,7 +38,6 @@ use everest_models::{
 };
 use everest_nn::train::TrainConfig;
 use everest_nn::HyperGrid;
-use everest_video::store::DecodeCostModel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -366,248 +366,143 @@ impl Session {
                 &standalone_oracle
             }
         };
-        let fps = plan.source.fps;
-        let n = plan.n_frames;
-        let decode = DecodeCostModel::default();
-        let scan_seconds = n as f64 * oracle.cost_per_frame() + decode.sequential_scan_cost(n);
-
-        // WITH FLAKY <seed>: seeded fault injection + deterministic
-        // retry/backoff around the exact oracle. A fresh wrapper per
-        // query means replaying the same statement replays the same
-        // fault schedule bit-for-bit.
-        let flaky = plan
-            .flaky_seed
-            .map(|seed| RetryingOracle::new(FlakyOracle::new(oracle.clone(), seed)));
-        let query_oracle: &dyn Oracle = match &flaky {
-            Some(f) => f,
-            None => oracle,
-        };
-
+        let prepared = || &entry.as_ref().expect("phase-1 engine").prepared;
+        let (fps, n, k) = (plan.source.fps, plan.n_frames, plan.k);
+        let scan_seconds = scan_seconds(n, oracle.cost_per_frame());
+        let scoring = Scoring::new(oracle, plan.flaky_seed);
         let cleaner = CleanerConfig {
-            k: plan.k,
+            k,
             thres: plan.thres,
             batch_size: plan.batch,
             resort_period: plan.resort_period,
             max_cleanings: None,
-            budget: QueryBudget {
-                max_oracle_calls: plan.max_oracle_calls,
-                deadline_sim_seconds: plan.deadline,
-                cancel: self.cancel.clone(),
-            },
+            budget: self.budget(plan.max_oracle_calls, plan.deadline),
         };
 
-        let (rows, confidence, converged, termination, iterations, cleaned, sim_seconds, quality) =
-            match (plan.engine, plan.target) {
-                (Engine::Everest, PlanTarget::Frames) => {
-                    let report = entry.as_ref().expect("phase-1 engine").prepared.query_topk(
-                        query_oracle,
-                        plan.k,
-                        plan.thres,
-                        &cleaner,
-                    );
-                    let quality = frame_quality(oracle, &report, plan.k);
-                    (
-                        report_rows(&report, fps),
-                        Some(report.confidence),
-                        Some(report.converged),
-                        Some(report.termination),
-                        Some(report.iterations),
-                        Some(report.cleaned),
-                        report.sim_seconds(),
-                        quality,
-                    )
-                }
+        // The five frame baselines share one result → answer path.
+        let baseline = match (plan.engine, plan.target) {
+            (Engine::Scan, PlanTarget::Frames) => Some(scan_and_test(oracle, k)),
+            (Engine::CmdnOnly, PlanTarget::Frames) => Some(cmdn_only(prepared(), k)),
+            (Engine::Hog, PlanTarget::Frames) => {
+                let scorer = HogScorer::new(oracle.clone(), plan.seed ^ 0x09);
+                Some(cheap_scan(&scorer, k))
+            }
+            (Engine::TinyYolo, PlanTarget::Frames) => {
+                let scorer = TinyYoloScorer::new(oracle.clone(), plan.seed ^ 0x77);
+                Some(cheap_scan(&scorer, k))
+            }
+            (Engine::SelectTopk, PlanTarget::Frames) => {
+                Some(select_and_topk_calibrated(prepared(), oracle, k, 0.9))
+            }
+            _ => None,
+        };
+        let (rows, quality, sim_seconds, report) = match (baseline, plan.engine, plan.target) {
+            (Some(result), ..) => {
+                let rows = baseline_rows(&result, oracle, fps);
+                let quality = frame_quality(oracle, &result.topk, k);
+                (rows, quality, result.sim_seconds, None)
+            }
+            (None, Engine::Everest, PlanTarget::Frames) => {
+                let report = prepared().query_topk(&scoring, k, plan.thres, &cleaner);
+                let quality = frame_quality(oracle, &report.frames(), k);
                 (
-                    Engine::Everest,
-                    PlanTarget::Windows {
-                        len,
-                        slide,
-                        sample_frac,
-                    },
-                ) => {
-                    let report = if slide == len {
-                        entry
-                            .as_ref()
-                            .expect("phase-1 engine")
-                            .prepared
-                            .query_topk_windows(
-                                query_oracle,
-                                plan.k,
-                                plan.thres,
-                                len,
-                                sample_frac,
-                                &cleaner,
-                            )
-                    } else {
-                        entry
-                            .as_ref()
-                            .expect("phase-1 engine")
-                            .prepared
-                            .query_topk_sliding_windows(
-                                query_oracle,
-                                plan.k,
-                                plan.thres,
-                                len,
-                                slide,
-                                sample_frac,
-                                &cleaner,
-                            )
-                    };
-                    let windows = sliding_windows(n, len, slide);
-                    let quality = window_quality(oracle, &windows, &report, plan.k, slide);
-                    (
-                        report_rows(&report, fps),
-                        Some(report.confidence),
-                        Some(report.converged),
-                        Some(report.termination),
-                        Some(report.iterations),
-                        Some(report.cleaned),
-                        report.sim_seconds(),
-                        quality,
-                    )
-                }
-                (Engine::Scan, PlanTarget::Frames) => {
-                    let result = scan_and_test(oracle, plan.k);
-                    let quality = baseline_quality(oracle, &result, plan.k);
-                    let rows = baseline_rows(&result, oracle, fps);
-                    (
-                        rows,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        result.sim_seconds,
-                        quality,
-                    )
-                }
-                (Engine::Scan, PlanTarget::Windows { len, slide, .. }) => {
-                    let windows = sliding_windows(n, len, slide);
-                    let w_scores = exact_window_scores(oracle.all_scores(), &windows);
-                    let top = topk_indices(&w_scores, plan.k);
-                    let rows: Vec<AnswerRow> = top
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &wid)| AnswerRow {
-                            rank: i + 1,
-                            start_frame: windows[wid].start,
-                            end_frame: windows[wid].end,
-                            time_sec: windows[wid].start as f64 / fps,
-                            score: w_scores[wid],
-                        })
-                        .collect();
-                    let truth = GroundTruth::new(w_scores);
-                    let quality = Some(evaluate_topk(&truth, &top, plan.k));
-                    (rows, None, None, None, None, None, scan_seconds, quality)
-                }
-                (Engine::CmdnOnly, PlanTarget::Frames) => {
-                    let result =
-                        cmdn_only(&entry.as_ref().expect("phase-1 engine").prepared, plan.k);
-                    let quality = baseline_quality(oracle, &result, plan.k);
-                    let rows = baseline_rows(&result, oracle, fps);
-                    (
-                        rows,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        result.sim_seconds,
-                        quality,
-                    )
-                }
-                (Engine::Hog, PlanTarget::Frames) => {
-                    let scorer = HogScorer::new(oracle.clone(), plan.seed ^ 0x09);
-                    let result = cheap_scan(&scorer, plan.k);
-                    let quality = baseline_quality(oracle, &result, plan.k);
-                    let rows = baseline_rows(&result, oracle, fps);
-                    (
-                        rows,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        result.sim_seconds,
-                        quality,
-                    )
-                }
-                (Engine::TinyYolo, PlanTarget::Frames) => {
-                    let scorer = TinyYoloScorer::new(oracle.clone(), plan.seed ^ 0x77);
-                    let result = cheap_scan(&scorer, plan.k);
-                    let quality = baseline_quality(oracle, &result, plan.k);
-                    let rows = baseline_rows(&result, oracle, fps);
-                    (
-                        rows,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        result.sim_seconds,
-                        quality,
-                    )
-                }
-                (Engine::SelectTopk, PlanTarget::Frames) => {
-                    let result = select_and_topk_calibrated(
-                        &entry.as_ref().expect("phase-1 engine").prepared,
-                        oracle,
-                        plan.k,
-                        0.9,
-                    );
-                    let quality = baseline_quality(oracle, &result, plan.k);
-                    let rows = baseline_rows(&result, oracle, fps);
-                    (
-                        rows,
-                        None,
-                        None,
-                        None,
-                        None,
-                        None,
-                        result.sim_seconds,
-                        quality,
-                    )
-                }
-                (engine, PlanTarget::Windows { .. }) => {
-                    // analyze() rejects this; keep a defensive error rather
-                    // than a panic for forward compatibility.
-                    return Err(EvqlError::new(
-                        ErrorKind::Exec(format!(
-                            "engine `{}` cannot run window queries",
-                            engine.display()
-                        )),
-                        crate::token::Span::point(0),
-                    ));
-                }
-            };
-
-        let sim = sim_seconds.max(f64::MIN_POSITIVE);
-        let (oracle_retries, breaker_trips) = match &flaky {
-            Some(f) => (Some(f.retries()), Some(f.breaker_trips())),
-            None => (None, None),
+                    report_rows(&report, fps),
+                    quality,
+                    report.sim_seconds(),
+                    Some(report),
+                )
+            }
+            (
+                None,
+                Engine::Everest,
+                PlanTarget::Windows {
+                    len,
+                    slide,
+                    sample_frac,
+                },
+            ) => {
+                let report = prepared().query_topk_sliding_windows(
+                    &scoring,
+                    k,
+                    plan.thres,
+                    len,
+                    slide,
+                    sample_frac,
+                    &cleaner,
+                );
+                let windows = sliding_windows(n, len, slide);
+                let quality = window_quality(oracle, &windows, &report, k, slide);
+                (
+                    report_rows(&report, fps),
+                    quality,
+                    report.sim_seconds(),
+                    Some(report),
+                )
+            }
+            (None, Engine::Scan, PlanTarget::Windows { len, slide, .. }) => {
+                let windows = sliding_windows(n, len, slide);
+                let w_scores = exact_window_scores(oracle.all_scores(), &windows);
+                let top = topk_indices(&w_scores, k);
+                let rows: Vec<AnswerRow> = top
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &wid)| AnswerRow {
+                        rank: i + 1,
+                        start_frame: windows[wid].start,
+                        end_frame: windows[wid].end,
+                        time_sec: windows[wid].start as f64 / fps,
+                        score: w_scores[wid],
+                    })
+                    .collect();
+                let quality = Some(evaluate_topk(&GroundTruth::new(w_scores), &top, k));
+                (rows, quality, scan_seconds, None)
+            }
+            (None, engine, _) => {
+                // analyze() rejects this; keep a defensive error rather
+                // than a panic for forward compatibility.
+                return Err(EvqlError::new(
+                    ErrorKind::Exec(format!(
+                        "engine `{}` cannot run window queries",
+                        engine.display()
+                    )),
+                    crate::token::Span::point(0),
+                ));
+            }
         };
+
+        let (oracle_retries, breaker_trips) = scoring.fault_counts();
         Ok(QueryOutput {
             rows,
             stats: ExecStats {
                 engine: plan.engine,
                 n_frames: n,
                 n_items: plan.n_items(),
-                confidence,
-                converged,
-                termination,
-                iterations,
-                cleaned,
+                confidence: report.as_ref().map(|r| r.confidence),
+                converged: report.as_ref().map(|r| r.converged),
+                termination: report.as_ref().map(|r| r.termination),
+                iterations: report.as_ref().map(|r| r.iterations),
+                cleaned: report.as_ref().map(|r| r.cleaned),
                 oracle_retries,
                 breaker_trips,
                 sim_seconds,
                 scan_seconds,
-                speedup: scan_seconds / sim,
+                speedup: scan_seconds / sim_seconds.max(f64::MIN_POSITIVE),
                 quality,
                 wall: started.elapsed(),
                 phase1_cached,
             },
             plan,
         })
+    }
+
+    /// The budget of one query: its oracle-call cap and simulated-seconds
+    /// deadline, under this session's cancel token.
+    fn budget(&self, max_oracle_calls: Option<usize>, deadline: Option<f64>) -> QueryBudget {
+        QueryBudget {
+            max_oracle_calls,
+            deadline_sim_seconds: deadline,
+            cancel: self.cancel.clone(),
+        }
     }
 
     /// Returns the cached Phase-1 preparation for a plan, building it on a
@@ -713,31 +608,21 @@ impl Session {
             budget_per_emit: plan.stream_budget,
             quant_step: rel.step(),
             max_bucket: rel.max_bucket(),
-            budget: QueryBudget {
-                max_oracle_calls: plan.max_oracle_calls,
-                deadline_sim_seconds: plan.deadline,
-                cancel: self.cancel.clone(),
-            },
+            budget: self.budget(plan.max_oracle_calls, plan.deadline),
             ..StreamConfig::default()
         };
-        let retained = entry.prepared.phase1.segments.retained().to_vec();
-        let oracle = RetainedOracle::new(
-            entry.oracle.clone(),
-            retained.clone(),
+        let oracle = RetainedFrameOracle::new(
+            Scoring::new(entry.oracle.clone(), plan.flaky_seed),
+            entry.prepared.phase1.segments.retained().to_vec(),
             rel.step(),
             rel.max_bucket(),
-            plan.flaky_seed,
         );
-        let n = plan.n_frames;
-        let decode = DecodeCostModel::default();
-        let scan_seconds =
-            n as f64 * entry.oracle.cost_per_frame() + decode.sequential_scan_cost(n);
+        let scan_seconds = scan_seconds(plan.n_frames, entry.oracle.cost_per_frame());
         Ok(StreamSession {
             engine: StreamTopK::new(cfg.clone()),
             cfg,
             plan,
             dists,
-            retained,
             oracle,
             fed: 0,
             answers: Vec::new(),
@@ -791,78 +676,37 @@ impl Session {
             .collect();
         let mut rel = zip_relations(&relations);
 
-        struct MultiOracle<'a> {
-            oracles: Vec<&'a ExactScoreOracle>,
-            steps: Vec<f64>,
-            max_buckets: Vec<usize>,
-            retained: &'a [usize],
-            frames_scored: usize,
-        }
-        impl CleaningOracle<Vec<u32>> for MultiOracle<'_> {
-            fn clean_batch(&mut self, items: &[usize]) -> Result<Vec<Vec<u32>>, OracleError> {
-                let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
-                // One detector pass yields every dimension's score.
-                let per_dim: Vec<Vec<f64>> = self
-                    .oracles
-                    .iter()
-                    .map(|o| o.try_score_batch(&frames))
-                    .collect::<Result<_, _>>()?;
-                self.frames_scored += frames.len();
-                Ok((0..frames.len())
-                    .map(|i| {
-                        per_dim
-                            .iter()
-                            .enumerate()
-                            .map(|(j, scores)| {
-                                ((scores[i] / self.steps[j]).round().max(0.0) as usize)
-                                    .min(self.max_buckets[j]) as u32
-                            })
-                            .collect()
-                    })
-                    .collect())
-            }
-        }
-        let mut oracle = MultiOracle {
-            oracles: entries.iter().map(|e| &e.oracle).collect(),
-            steps: entries
-                .iter()
-                .map(|e| e.prepared.phase1.relation.step())
-                .collect(),
-            max_buckets: entries
-                .iter()
-                .map(|e| e.prepared.phase1.relation.max_bucket())
-                .collect(),
-            retained: &retained,
-            frames_scored: 0,
-        };
-
+        // One adapter per dimension over the shared retained frames; a
+        // confirmed frame is charged once (one detector pass).
+        let mut oracle: Vec<_> = entries
+            .iter()
+            .map(|e| {
+                let rel = &e.prepared.phase1.relation;
+                RetainedFrameOracle::new(&e.oracle, &retained, rel.step(), rel.max_bucket())
+            })
+            .collect();
         let outcome = run_skyline_cleaner(
             &mut rel,
             &mut oracle,
             &SkylineConfig {
                 thres: plan.thres,
                 batch_size: plan.batch,
-                budget: QueryBudget {
-                    cancel: self.cancel.clone(),
-                    ..QueryBudget::unlimited()
-                },
+                budget: self.budget(None, None),
             },
         );
 
-        // Simulated cost: both Phase-1 clocks + one oracle charge per
-        // confirmed frame (all dimensions share the detector pass).
-        let decode = DecodeCostModel::default();
-        let per_frame = entries
-            .iter()
-            .map(|e| e.oracle.cost_per_frame())
-            .fold(0.0f64, f64::max);
+        // Simulated cost: every dimension's Phase-1 clock + the confirmations.
         let sim_seconds: f64 = entries
             .iter()
             .map(|e| e.prepared.phase1.clock.total())
             .sum::<f64>()
-            + oracle.frames_scored as f64 * per_frame;
+            + oracle.sim_seconds_spent();
+        let per_frame = entries
+            .iter()
+            .map(|e| e.oracle.cost_per_frame())
+            .fold(0.0f64, f64::max);
         let n = plan.n_frames;
-        let scan_seconds = n as f64 * per_frame + decode.sequential_scan_cost(n);
+        let scan_seconds = scan_seconds(n, per_frame);
 
         let mut rows: Vec<SkylineRow> = outcome
             .skyline
@@ -911,64 +755,70 @@ impl Session {
     }
 }
 
-/// A [`CleaningOracle`] over the retained stream: x-tuple id → retained
-/// video frame → exact detector score → quantized bucket (the same mapping
-/// `pipeline::query_topk` uses). With a flaky seed the scoring path runs
-/// through seeded fault injection + deterministic retry/backoff.
-struct RetainedOracle {
-    oracle: ExactScoreOracle,
-    flaky: Option<RetryingOracle<FlakyOracle<ExactScoreOracle>>>,
-    retained: Vec<usize>,
-    step: f64,
-    max_bucket: usize,
-    cleaned: usize,
+/// The oracle a query confirms with: the exact oracle, or under `WITH
+/// FLAKY <seed>` seeded fault injection behind deterministic retry and
+/// backoff. A fresh value per query replays the same fault schedule
+/// bit-for-bit.
+enum Scoring<O: Oracle> {
+    Exact(O),
+    Flaky(RetryingOracle<FlakyOracle<O>>),
 }
 
-impl RetainedOracle {
-    fn new(
-        oracle: ExactScoreOracle,
-        retained: Vec<usize>,
-        step: f64,
-        max_bucket: usize,
-        flaky_seed: Option<u64>,
-    ) -> Self {
-        let flaky = flaky_seed.map(|s| RetryingOracle::new(FlakyOracle::new(oracle.clone(), s)));
-        RetainedOracle {
-            oracle,
-            flaky,
-            retained,
-            step,
-            max_bucket,
-            cleaned: 0,
+impl<O: Oracle> Scoring<O> {
+    fn new(oracle: O, flaky_seed: Option<u64>) -> Self {
+        match flaky_seed {
+            Some(seed) => Scoring::Flaky(RetryingOracle::new(FlakyOracle::new(oracle, seed))),
+            None => Scoring::Exact(oracle),
         }
     }
 
-    /// The oracle confirmations score through.
-    fn scoring(&self) -> &dyn Oracle {
-        match &self.flaky {
-            Some(f) => f,
-            None => &self.oracle,
+    fn get(&self) -> &dyn Oracle {
+        match self {
+            Scoring::Exact(o) => o,
+            Scoring::Flaky(f) => f,
         }
     }
 
-    fn buckets(&self, scores: Vec<f64>) -> Vec<u32> {
-        scores
-            .into_iter()
-            .map(|s| ((s / self.step).round().max(0.0) as usize).min(self.max_bucket) as u32)
-            .collect()
+    /// The exact oracle behind any fault injection.
+    fn exact(&self) -> &O {
+        match self {
+            Scoring::Exact(o) => o,
+            Scoring::Flaky(f) => f.inner().inner(),
+        }
+    }
+
+    /// `(retries, breaker trips)` under fault injection; `None` without.
+    fn fault_counts(&self) -> (Option<u64>, Option<u64>) {
+        match self {
+            Scoring::Exact(_) => (None, None),
+            Scoring::Flaky(f) => (Some(f.retries()), Some(f.breaker_trips())),
+        }
     }
 }
 
-impl CleaningOracle for RetainedOracle {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<u32>, OracleError> {
-        let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
-        let scores = self.scoring().try_score_batch(&frames)?;
-        self.cleaned += frames.len();
-        Ok(self.buckets(scores))
+impl<O: Oracle> Oracle for Scoring<O> {
+    fn score_batch(&self, frames: &[usize]) -> Vec<f64> {
+        self.get().score_batch(frames)
     }
 
-    fn sim_seconds_spent(&self) -> f64 {
-        self.cleaned as f64 * self.oracle.cost_per_frame() + self.scoring().sim_overhead_seconds()
+    fn try_score_batch(&self, frames: &[usize]) -> Result<Vec<f64>, OracleError> {
+        self.get().try_score_batch(frames)
+    }
+
+    fn cost_per_frame(&self) -> f64 {
+        self.get().cost_per_frame()
+    }
+
+    fn sim_overhead_seconds(&self) -> f64 {
+        self.get().sim_overhead_seconds()
+    }
+
+    fn num_frames(&self) -> usize {
+        self.get().num_frames()
+    }
+
+    fn name(&self) -> &str {
+        self.get().name()
     }
 }
 
@@ -989,8 +839,7 @@ pub struct StreamSession {
     cfg: StreamConfig,
     engine: StreamTopK,
     dists: Vec<DiscreteDist>,
-    retained: Vec<usize>,
-    oracle: RetainedOracle,
+    oracle: RetainedFrameOracle<'static, Scoring<ExactScoreOracle>>,
     fed: usize,
     answers: Vec<StreamAnswer>,
     phase1_seconds: f64,
@@ -1022,7 +871,7 @@ impl StreamSession {
 
     /// Retained video-frame number of stream id `id`.
     pub fn video_frame(&self, id: ItemId) -> usize {
-        self.retained[id]
+        self.oracle.retained()[id]
     }
 
     /// Feeds arrivals until the next emit point; `None` when the stream is
@@ -1047,10 +896,7 @@ impl StreamSession {
         }
         let last = self.answers.last();
         let sim_seconds = self.phase1_seconds + self.oracle.sim_seconds_spent();
-        let (oracle_retries, breaker_trips) = match &self.oracle.flaky {
-            Some(f) => (Some(f.retries()), Some(f.breaker_trips())),
-            None => (None, None),
-        };
+        let (oracle_retries, breaker_trips) = self.oracle.oracle().fault_counts();
         let stats = ExecStats {
             engine: Engine::Everest,
             n_frames: self.plan.n_frames,
@@ -1070,8 +916,8 @@ impl StreamSession {
             phase1_cached: self.phase1_cached,
         };
         Ok(StreamOutput {
+            retained: self.oracle.retained().to_vec(),
             answers: self.answers,
-            retained: self.retained,
             stats,
             plan: self.plan,
         })
@@ -1080,14 +926,13 @@ impl StreamSession {
     /// The streaming≡batch equivalence check behind [`STREAM_VERIFY_ENV`]:
     /// replays the whole stream from scratch with per-emit rebuilds and
     /// demands identical answers at every emit point.
-    fn verify_against_batch(&mut self) -> Result<(), EvqlError> {
+    fn verify_against_batch(&self) -> Result<(), EvqlError> {
         // A fresh wrapper replays the same fault schedule from call 0.
-        let mut oracle = RetainedOracle::new(
-            self.oracle.oracle.clone(),
-            self.retained.clone(),
+        let mut oracle = RetainedFrameOracle::new(
+            Scoring::new(self.oracle.oracle().exact().clone(), self.plan.flaky_seed),
+            self.oracle.retained(),
             self.cfg.quant_step,
             self.cfg.max_bucket,
-            self.plan.flaky_seed,
         );
         let reference = batch_reference(&self.cfg, &self.dists, &mut oracle);
         let mismatch = |what: String| {
@@ -1168,28 +1013,12 @@ fn baseline_rows(result: &BaselineResult, oracle: &ExactScoreOracle, fps: f64) -
         .collect()
 }
 
-fn frame_quality(
-    oracle: &ExactScoreOracle,
-    report: &QueryReport,
-    k: usize,
-) -> Option<ResultQuality> {
-    if report.items.len() != k {
+fn frame_quality(oracle: &ExactScoreOracle, frames: &[usize], k: usize) -> Option<ResultQuality> {
+    if frames.len() != k {
         return None;
     }
     let truth = GroundTruth::new(oracle.all_scores().to_vec());
-    Some(evaluate_topk(&truth, &report.frames(), k))
-}
-
-fn baseline_quality(
-    oracle: &ExactScoreOracle,
-    result: &BaselineResult,
-    k: usize,
-) -> Option<ResultQuality> {
-    if result.topk.len() != k {
-        return None;
-    }
-    let truth = GroundTruth::new(oracle.all_scores().to_vec());
-    Some(evaluate_topk(&truth, &result.topk, k))
+    Some(evaluate_topk(&truth, frames, k))
 }
 
 fn window_quality(

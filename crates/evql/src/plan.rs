@@ -6,6 +6,7 @@
 //! on environmental problems.
 
 use crate::catalog::{ScoreFn, SourceEntry};
+use everest_core::window::window_count;
 
 /// Which processing engine answers the query (§4's method lineup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,19 +128,7 @@ impl QueryPlan {
     pub fn n_items(&self) -> usize {
         match self.target {
             PlanTarget::Frames => self.n_frames,
-            PlanTarget::Windows { len, slide, .. } => {
-                if self.n_frames == 0 {
-                    0
-                } else {
-                    // ceil((n - len) / slide) + 1, clamped for short videos
-                    let n = self.n_frames;
-                    if n <= len {
-                        1
-                    } else {
-                        (n - len).div_ceil(slide) + 1
-                    }
-                }
-            }
+            PlanTarget::Windows { len, slide, .. } => window_count(self.n_frames, len, slide),
         }
     }
 
@@ -295,6 +284,7 @@ impl SkylinePlan {
 mod tests {
     use super::*;
     use crate::catalog::source_by_name;
+    use everest_core::window::sliding_windows;
     use everest_video::scene::ObjectClass;
 
     fn plan(target: PlanTarget, n_frames: usize) -> QueryPlan {
@@ -353,6 +343,19 @@ mod tests {
             sample_frac: 0.1,
         };
         assert_eq!(plan(d, 60).n_items(), 1);
+        // every count is the length of the window list core enumerates
+        for (n, len, slide) in [(0, 10, 5), (1001, 100, 100), (1000, 100, 30), (7, 3, 1)] {
+            let w = PlanTarget::Windows {
+                len,
+                slide,
+                sample_frac: 0.1,
+            };
+            assert_eq!(
+                plan(w, n).n_items(),
+                sliding_windows(n, len, slide).len(),
+                "n={n} len={len} slide={slide}"
+            );
+        }
     }
 
     #[test]

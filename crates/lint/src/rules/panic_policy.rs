@@ -71,7 +71,7 @@ pub const PANIC_ALLOWLIST: &[PanicBudget] = &[
     },
     PanicBudget {
         file: "crates/evql/src/exec.rs",
-        budget: 5,
+        budget: 1,
         reason: "phase-1 entry is Some for every engine that analyze() routes here",
     },
 ];

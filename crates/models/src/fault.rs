@@ -452,6 +452,23 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_oracle_forwards_faults_and_overhead() {
+        // A generic caller handed `&dyn Oracle` sees the same fault
+        // schedule and overhead as one that owns the oracle.
+        fn outcomes<O: Oracle>(o: O) -> (Vec<bool>, f64) {
+            let ok = (0..100).map(|_| o.try_score_batch(&[5]).is_ok()).collect();
+            (ok, o.sim_overhead_seconds())
+        }
+        let borrowed = FlakyOracle::new(table(), 42);
+        let (owned_ok, owned_overhead) = outcomes(FlakyOracle::new(table(), 42));
+        let (borrowed_ok, borrowed_overhead) = outcomes(&borrowed as &dyn Oracle);
+        assert_eq!(owned_ok, borrowed_ok);
+        assert!(owned_overhead > 0.0);
+        assert_eq!(owned_overhead, borrowed_overhead);
+        assert_eq!(borrowed.calls(), 100);
+    }
+
+    #[test]
     fn different_seeds_differ() {
         let a = FlakyOracle::new(table(), 1);
         let b = FlakyOracle::new(table(), 2);

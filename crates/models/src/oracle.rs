@@ -48,6 +48,34 @@ pub trait Oracle: Send + Sync {
     }
 }
 
+/// A borrowed oracle is an oracle, so adapters generic over `O: Oracle`
+/// can either own their oracle or borrow one (`&dyn Oracle` included).
+impl<O: Oracle + ?Sized> Oracle for &O {
+    fn score_batch(&self, frames: &[usize]) -> Vec<f64> {
+        (**self).score_batch(frames)
+    }
+
+    fn try_score_batch(&self, frames: &[usize]) -> Result<Vec<f64>, OracleError> {
+        (**self).try_score_batch(frames)
+    }
+
+    fn cost_per_frame(&self) -> f64 {
+        (**self).cost_per_frame()
+    }
+
+    fn sim_overhead_seconds(&self) -> f64 {
+        (**self).sim_overhead_seconds()
+    }
+
+    fn num_frames(&self) -> usize {
+        (**self).num_frames()
+    }
+
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+}
+
 /// Default simulated cost of the YOLOv3-class oracle detector, seconds per
 /// frame. State-of-the-art detectors run at ~5–12 fps on a 2017-era GPU
 /// (§1 cites ~5 fps); 100 ms/frame sits in that band.

@@ -21,47 +21,15 @@
 //!     **once** and yields both dimensions.
 
 use everest::core::budget::QueryBudget;
-use everest::core::cleaner::CleaningOracle;
+use everest::core::cleaner::{CleaningOracle, RetainedFrameOracle};
 use everest::core::phase1::Phase1Config;
 use everest::core::skyline::{run_skyline_cleaner, zip_relations, SkylineConfig};
-use everest::models::{counting_oracle, coverage_oracle, Oracle, OracleError};
+use everest::models::{counting_oracle, coverage_oracle, Oracle};
 use everest::nn::train::TrainConfig;
 use everest::nn::HyperGrid;
 use everest::video::arrival::{ArrivalConfig, Timeline};
 use everest::video::scene::{SceneConfig, SyntheticVideo};
 use everest_core::pipeline::Everest;
-use everest_core::xtuple::ItemId;
-
-/// Confirms both dimensions with one simulated detector pass per frame.
-struct DualScoreOracle<'a> {
-    count: &'a everest::models::ExactScoreOracle,
-    coverage: &'a everest::models::ExactScoreOracle,
-    retained: &'a [usize],
-    steps: (f64, f64),
-    max_buckets: (usize, usize),
-    frames_scored: usize,
-}
-
-impl CleaningOracle<Vec<u32>> for DualScoreOracle<'_> {
-    fn clean_batch(&mut self, items: &[ItemId]) -> Result<Vec<Vec<u32>>, OracleError> {
-        let frames: Vec<usize> = items.iter().map(|&i| self.retained[i]).collect();
-        // One detector pass yields the object list; count and coverage are
-        // both derived from it, so charge the frames once.
-        let counts = self.count.score_batch(&frames);
-        let covers = self.coverage.score_batch(&frames);
-        self.frames_scored += frames.len();
-        Ok(counts
-            .iter()
-            .zip(&covers)
-            .map(|(&c, &a)| {
-                vec![
-                    ((c / self.steps.0).round().max(0.0) as usize).min(self.max_buckets.0) as u32,
-                    ((a / self.steps.1).round().max(0.0) as usize).min(self.max_buckets.1) as u32,
-                ]
-            })
-            .collect())
-    }
-}
 
 fn main() {
     // A moderately busy fixed-camera traffic scene with known ground truth.
@@ -115,20 +83,23 @@ fn main() {
         rel.num_certain()
     );
 
-    let mut oracle = DualScoreOracle {
-        count: &count,
-        coverage: &coverage,
-        retained,
-        steps: (
+    // One retained-frame adapter per dimension, zipped per item. One
+    // detector pass yields the object list that count and coverage are
+    // both derived from, so a confirmed frame is charged once.
+    let mut oracle = vec![
+        RetainedFrameOracle::new(
+            &count,
+            retained,
             prep_count.phase1.relation.step(),
-            prep_cover.phase1.relation.step(),
-        ),
-        max_buckets: (
             prep_count.phase1.relation.max_bucket(),
+        ),
+        RetainedFrameOracle::new(
+            &coverage,
+            retained,
+            prep_cover.phase1.relation.step(),
             prep_cover.phase1.relation.max_bucket(),
         ),
-        frames_scored: 0,
-    };
+    ];
 
     let outcome = run_skyline_cleaner(
         &mut rel,
@@ -148,7 +119,7 @@ fn main() {
         outcome.iterations,
         outcome.cleaned,
         100.0 * outcome.cleaned as f64 / rel.len() as f64,
-        oracle.frames_scored,
+        oracle[0].frames_scored(),
     );
 
     let mut rows: Vec<(usize, f64, f64)> = outcome
@@ -169,7 +140,7 @@ fn main() {
 
     // Sanity: the skyline under the exact scores matches.
     let scan_cost = count.num_frames() as f64 * count.cost_per_frame();
-    let sky_cost = oracle.frames_scored as f64 * count.cost_per_frame();
+    let sky_cost = oracle.sim_seconds_spent();
     println!(
         "\nsimulated oracle time: skyline {:.1}s vs scan-and-test {:.1}s ({:.1}x)",
         sky_cost,

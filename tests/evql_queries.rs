@@ -77,6 +77,28 @@ fn window_query_via_evql_meets_guarantee() {
 }
 
 #[test]
+fn flaky_window_query_pays_its_fault_overhead() {
+    let mut s = fast_session();
+    let plain = rows(
+        &mut s,
+        "SELECT TOP 3 WINDOWS OF 30 FRAMES FROM Archie WITH SEED 21",
+    );
+    let flaky = rows(
+        &mut s,
+        "SELECT TOP 3 WINDOWS OF 30 FRAMES FROM Archie WITH SEED 21, FLAKY 3",
+    );
+    // Retries recover every fault: same answer, more simulated time.
+    assert!(flaky.stats.oracle_retries.unwrap() > 0);
+    assert_eq!(flaky.rows, plain.rows);
+    assert!(
+        flaky.stats.sim_seconds > plain.stats.sim_seconds + 1.0,
+        "flaky {} s vs pristine {} s",
+        flaky.stats.sim_seconds,
+        plain.stats.sim_seconds
+    );
+}
+
+#[test]
 fn sliding_window_query_offsets_are_on_the_slide_grid() {
     let mut s = fast_session();
     let out = rows(
